@@ -19,53 +19,9 @@ from typing import Sequence, Union
 
 from .errors import PreconditionError, SceneError
 from .gamma import INF, Gamma, Rational
+from .polys import poly_add, poly_divmod, poly_gcd, poly_mul, poly_neg, trim
 
 __all__ = ["PAdicField", "TAdicField", "RatFunc", "ValuedField", "field_from_json"]
-
-
-def _poly_trim(c: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    n = len(c)
-    while n and c[n - 1] == 0:
-        n -= 1
-    return c[:n]
-
-
-def _poly_mul(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _poly_trim(tuple(out))
-
-
-def _poly_divmod(
-    a: tuple[Fraction, ...], b: tuple[Fraction, ...]
-) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    quot = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    for top in range(len(a) - 1, len(b) - 2, -1):
-        factor = rem[top] * inv_lead
-        if factor:
-            quot[top - len(b) + 1] = factor
-            for j in range(len(b)):
-                rem[top - len(b) + 1 + j] -= factor * b[j]
-    return _poly_trim(tuple(quot)), _poly_trim(tuple(rem))
-
-
-def _poly_gcd(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = tuple(x / lead for x in a)
-    return a
 
 
 class RatFunc:
@@ -74,17 +30,17 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Sequence[Rational] = (), den: Sequence[Rational] = (1,)):
-        n = _poly_trim(tuple(Fraction(x) for x in num))
-        d = _poly_trim(tuple(Fraction(x) for x in den))
+        n = trim(tuple(Fraction(x) for x in num))
+        d = trim(tuple(Fraction(x) for x in den))
         if not d:
             raise ZeroDivisionError("rational function with zero denominator")
         if not n:
             self.num, self.den = (), (Fraction(1),)
             return
-        g = _poly_gcd(n, d)
+        g = poly_gcd(n, d)
         if len(g) > 1:
-            n, _ = _poly_divmod(n, g)
-            d, _ = _poly_divmod(d, g)
+            n = poly_divmod(n, g)[0]
+            d = poly_divmod(d, g)[0]
         lead = d[-1]
         self.num = tuple(x / lead for x in n)
         self.den = tuple(x / lead for x in d)
@@ -117,14 +73,13 @@ class RatFunc:
         o = RatFunc._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        left, right = _pad(_poly_mul(self.num, o.den), _poly_mul(o.num, self.den))
-        num = tuple(x + y for x, y in zip(left, right))
-        return RatFunc(num, _poly_mul(self.den, o.den))
+        num = poly_add(poly_mul(self.num, o.den), poly_mul(o.num, self.den))
+        return RatFunc(num, poly_mul(self.den, o.den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(tuple(-x for x in self.num), self.den)
+        return RatFunc(poly_neg(self.num), self.den)
 
     def __sub__(self, other):
         o = RatFunc._coerce(other)
@@ -139,7 +94,7 @@ class RatFunc:
         o = RatFunc._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return RatFunc(_poly_mul(self.num, o.num), _poly_mul(self.den, o.den))
+        return RatFunc(poly_mul(self.num, o.num), poly_mul(self.den, o.den))
 
     __rmul__ = __mul__
 
@@ -149,7 +104,7 @@ class RatFunc:
             return NotImplemented
         if not o.num:
             raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(_poly_mul(self.num, o.den), _poly_mul(self.den, o.num))
+        return RatFunc(poly_mul(self.num, o.den), poly_mul(self.den, o.num))
 
     def __rtruediv__(self, other):
         o = RatFunc._coerce(other)
@@ -210,14 +165,6 @@ class RatFunc:
         if self.den == (Fraction(1),):
             return f"RatFunc({side(self.num)})"
         return f"RatFunc(({side(self.num)})/({side(self.den)}))"
-
-
-def _pad(a: tuple, b: tuple) -> tuple[tuple, tuple]:
-    n = max(len(a), len(b))
-    return (
-        a + (Fraction(0),) * (n - len(a)),
-        b + (Fraction(0),) * (n - len(b)),
-    )
 
 
 def _int_val(n: int, p: int) -> int:

@@ -8,7 +8,9 @@ because the extended group has no bottom element.
 ``MinAffine`` models pointwise minima of finitely many affine maps
 ``t -> intercept + slope * t`` on the value group.  The family is closed
 under pointwise ``min`` and under adding a single affine map, which is all
-the rest of the package needs.
+the rest of the package needs.  The module also holds the package's one
+coercion of input to an exact rational (:func:`rational`) and the lower
+convex hull shared with Newton polygons (:func:`lower_hull`).
 """
 
 from __future__ import annotations
@@ -16,9 +18,26 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
-__all__ = ["Gamma", "GammaError", "INF", "MinAffine", "Rational", "gmax", "gmin"]
+from .errors import PreconditionError
+
+__all__ = [
+    "Gamma", "GammaError", "INF", "MinAffine", "Rational", "gmax", "gmin",
+    "lower_hull", "rational",
+]
 
 Rational = Union[int, Fraction]
+
+
+def rational(x) -> Fraction:
+    """Exact rational from an int (not a bool), a Fraction, or a literal like "3/4"."""
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return Fraction(x)
+    if not isinstance(x, str):
+        raise PreconditionError(f"expected an exact rational, got {x!r}")
+    try:
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise PreconditionError(f"bad rational literal {x!r}") from exc
 
 
 class GammaError(ArithmeticError):
@@ -101,7 +120,8 @@ class Gamma:
         return self._value == other._value
 
     def __hash__(self) -> int:
-        return hash(("Gamma", self._value))
+        # equal to its int/Fraction value, so it must hash like it
+        return hash(self._value)
 
     def __lt__(self, other: "Gamma | Rational") -> bool:
         return self._key() < _coerce(other)._key()
@@ -165,7 +185,8 @@ class MinAffine:
             s = Fraction(slope)
             if s not in finite or g.finite < finite[s]:
                 finite[s] = g.finite
-        self._terms = _lower_envelope(sorted(finite.items()))
+        # t -> b + m*t is minimal exactly where (m, b) minimizes (t, 1) . (m, b)
+        self._terms = tuple(lower_hull(sorted(finite.items())))
 
     @property
     def terms(self) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -232,26 +253,19 @@ class MinAffine:
         return f"MinAffine({parts})"
 
 
-def _lower_envelope(
-    lines: list[tuple[Fraction, Fraction]],
-) -> tuple[tuple[Fraction, Fraction], ...]:
-    """Keep the lines attaining the minimum on a nondegenerate interval.
+def lower_hull(pts: list) -> list:
+    """Vertices of the lower convex hull of points with strictly increasing x.
 
-    Input is sorted by slope with distinct slopes.  Scanning slopes in
-    decreasing order matches attainment order for increasing t, so the
-    usual convex-hull stack applies.
+    Collinear points are dropped, so every vertex is strictly lowest for
+    some direction.
     """
-    if len(lines) <= 1:
-        return tuple(lines)
-
-    def meet(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]) -> Fraction:
-        (m1, b1), (m2, b2) = a, b
-        return (b2 - b1) / (m1 - m2)
-
-    # the steepest line attains near t = -inf, so it is never popped
-    stack: list[tuple[Fraction, Fraction]] = []
-    for line in reversed(lines):
-        while len(stack) >= 2 and meet(line, stack[-2]) <= meet(stack[-1], stack[-2]):
-            stack.pop()
-        stack.append(line)
-    return tuple(reversed(stack))
+    hull = []
+    for p in pts:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (x2 - x1) * (p[1] - y1) <= (y2 - y1) * (p[0] - x1):
+                hull.pop()
+            else:
+                break
+        hull.append(p)
+    return hull

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InconsistencyError, PreconditionError
-from .gamma import Gamma, INF
+from .gamma import Gamma, INF, rational
 from .polyhedra import (
     OPTIMAL,
     UNBOUNDED,
@@ -79,14 +79,6 @@ class FlowResult:
         return total
 
 
-def _rat(x) -> Fraction:
-    if isinstance(x, float):
-        raise PreconditionError("exact rational input required, not float")
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(x)
-
-
 class CellComplex:
     """Immutable decomposition data; geometric caches fill in lazily."""
 
@@ -122,7 +114,7 @@ class CellComplex:
             elif isinstance(v, str) and v in ("inf", "oo"):
                 out.append(INF)
             else:
-                out.append(Gamma(_rat(v)))
+                out.append(Gamma(rational(v)))
         return tuple(out)
 
 
@@ -130,19 +122,19 @@ def _affine(layout, w) -> tuple:
     """Parse one {'alpha': ..., 'c': ...} block to (alpha tuple, c)."""
     if isinstance(layout, Mapping):
         alpha_raw = layout.get("alpha", {})
-        c = _rat(layout.get("c", 0))
+        c = rational(layout.get("c", 0))
     else:
         alpha_raw, c = layout
-        c = _rat(c)
+        c = rational(c)
     if isinstance(alpha_raw, Mapping):
         unknown = [k for k in alpha_raw if k not in w]
         if unknown:
             raise PreconditionError(f"unknown coordinates {unknown}")
-        alpha = tuple(_rat(alpha_raw.get(name, 0)) for name in w)
+        alpha = tuple(rational(alpha_raw.get(name, 0)) for name in w)
     else:
         if len(alpha_raw) != len(w):
             raise PreconditionError("coefficient list length must match w")
-        alpha = tuple(_rat(a) for a in alpha_raw)
+        alpha = tuple(rational(a) for a in alpha_raw)
     return alpha, c
 
 
@@ -166,7 +158,10 @@ def build_complex(layout: Mapping) -> CellComplex:
     permutations of w as name maps; the functional list is closed under
     the group they generate.
     """
-    w = tuple(layout.get("w", ()))
+    w = layout.get("w", ())
+    if not isinstance(w, (list, tuple)) or not all(isinstance(n, str) for n in w):
+        raise PreconditionError("w must list distinct coordinate names")
+    w = tuple(w)
     if not w or len(set(w)) != len(w):
         raise PreconditionError("w must list distinct coordinate names")
     h = layout.get("h")
@@ -219,11 +214,16 @@ def _finite_coords(K: CellComplex, x) -> tuple:
 
 
 def _cell_constraints(K: CellComplex, cell: Cell) -> tuple:
-    """(equalities, strict inequalities) as (alpha, rhs) with alpha.x > rhs."""
     if len(cell.pattern) != len(K.functionals):
         raise PreconditionError("cell pattern does not match the complex")
+    return _pattern_constraints(K, cell.pattern)
+
+
+def _pattern_constraints(K: CellComplex, pattern: tuple) -> tuple:
+    """(equalities, strict inequalities) as (alpha, rhs) with alpha.x > rhs,
+    from the signs of the first len(pattern) functionals."""
     eqs, gts = [], []
-    for f, s in zip(K.functionals, cell.pattern):
+    for f, s in zip(K.functionals, pattern):
         if s == EQ:
             eqs.append((f.alpha, f.c))
         elif s == GT:
@@ -353,7 +353,7 @@ def exit_time(K: CellComplex, cell: Cell, e: Sequence, x) -> Gamma:
 
 def flow(K: CellComplex, t, x) -> FlowResult:
     """Run the downhill flow for time t (infinite t runs to termination)."""
-    t = t if isinstance(t, Gamma) else Gamma(_rat(t))
+    t = t if isinstance(t, Gamma) else Gamma(rational(t))
     if t < 0:
         raise PreconditionError("flow time must be nonnegative")
     pt = K.point(x)
@@ -424,18 +424,6 @@ def cells(K: CellComplex) -> tuple:
         partial = grown
     K._cells = tuple(Cell(p) for p, _ in sorted(partial))
     return K._cells
-
-
-def _pattern_constraints(K: CellComplex, prefix: tuple) -> tuple:
-    eqs, gts = [], []
-    for f, s in zip(K.functionals, prefix):
-        if s == EQ:
-            eqs.append((f.alpha, f.c))
-        elif s == GT:
-            gts.append((f.alpha, f.c))
-        else:
-            gts.append((tuple(-a for a in f.alpha), -f.c))
-    return eqs, gts
 
 
 def core_bounds(K: CellComplex) -> dict:

@@ -25,7 +25,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .errors import PreconditionError
-from .gamma import INF, Gamma, MinAffine
+from .gamma import INF, Gamma, MinAffine, lower_hull
 from .pline import PLinePoint, STD, gauss_val
 from .polys import poly_mul, poly_sub, taylor_shift, trim
 
@@ -81,26 +81,12 @@ def newton_polygon(coeff_vals: Sequence) -> NewtonPolygon:
             pts.append((Fraction(i), g.finite))
     if not pts:
         raise PreconditionError("all coefficient valuations are infinite")
-    hull = _lower_hull(pts)
+    hull = lower_hull(pts)
     segments = []
     for (i1, w1), (i2, w2) in zip(hull, hull[1:]):
         segments.append(((w1 - w2) / (i2 - i1), int(i2 - i1)))
     segments.reverse()
     return NewtonPolygon(tuple(segments))
-
-
-def _lower_hull(pts: list) -> list:
-    """Lower convex hull of points with strictly increasing x."""
-    hull = []
-    for p in pts:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (x2 - x1) * (p[1] - y1) <= (y2 - y1) * (p[0] - x1):
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    return hull
 
 
 def coeff_val_path(field, coeffs: Sequence, center) -> MinAffine:
@@ -164,7 +150,7 @@ def root_valuations_along_path(field, F: Sequence, center) -> RootProfile:
         mid = _midpoint(lo, hi)
         active = {j: _active_term(fn, mid) for j, fn in paths.items()}
         pts = [(Fraction(j), s * mid + o) for j, (s, o) in sorted(active.items())]
-        hull = _lower_hull(pts)
+        hull = lower_hull(pts)
         roots = []
         for (i1, _), (i2, _) in zip(hull, hull[1:]):
             s1, o1 = active[int(i1)]

@@ -12,21 +12,23 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .errors import PreconditionError
-
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
 INFEASIBLE = "infeasible"
 
 
-def frac(x) -> Fraction:
-    if isinstance(x, float):
-        raise PreconditionError("exact rational input required, not float")
-    return Fraction(x)
-
-
 def dot(a: Sequence, b: Sequence) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
+
+
+def _pivot(rows: list, r: int, col: int) -> None:
+    """Gauss-Jordan step: scale row r to a unit at col, clear col elsewhere."""
+    piv = rows[r][col]
+    row = rows[r] = [v / piv for v in rows[r]]
+    for i, other in enumerate(rows):
+        f = other[col]
+        if i != r and f != 0:
+            rows[i] = [v - f * w for v, w in zip(other, row)]
 
 
 def _rref(rows: Sequence, width: int) -> tuple:
@@ -39,12 +41,7 @@ def _rref(rows: Sequence, width: int) -> tuple:
         if sel is None:
             continue
         mat[r], mat[sel] = mat[sel], mat[r]
-        inv = Fraction(1) / mat[r][col]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [v - f * w for v, w in zip(mat[i], mat[r])]
+        _pivot(mat, r, col)
         pivots.append(col)
         r += 1
         if r == len(mat):
@@ -145,12 +142,7 @@ def lp_max(objective: Sequence, eqs: Sequence, ges: Sequence, n: int) -> tuple:
             if best is None:
                 return UNBOUNDED, None
             _, leave = best
-            piv = tableau[leave][enter]
-            tableau[leave] = [v / piv for v in tableau[leave]]
-            for i in range(m):
-                if i != leave and tableau[i][enter] != 0:
-                    f = tableau[i][enter]
-                    tableau[i] = [v - f * w for v, w in zip(tableau[i], tableau[leave])]
+            _pivot(tableau, leave, enter)
             f = zrow[enter]
             if f != 0:
                 zrow = [v - f * w for v, w in zip(zrow, tableau[leave])]
@@ -168,12 +160,7 @@ def lp_max(objective: Sequence, eqs: Sequence, ges: Sequence, n: int) -> tuple:
             enter = next((j for j in range(2 * n + nslack) if tableau[i][j] != 0), None)
             if enter is None:
                 continue
-            piv = tableau[i][enter]
-            tableau[i] = [v / piv for v in tableau[i]]
-            for k in range(m):
-                if k != i and tableau[k][enter] != 0:
-                    f = tableau[k][enter]
-                    tableau[k] = [v - f * w for v, w in zip(tableau[k], tableau[i])]
+            _pivot(tableau, i, enter)
             basis[i] = enter
     phase2 = [Fraction(0)] * (ncols + 1)
     for j in range(n):

@@ -3,7 +3,7 @@
 Polynomials are little-endian coefficient lists.  Coefficients only need
 ring arithmetic through the usual operators plus equality with 0, so the
 same helpers serve Fraction coefficients and rational-function
-coefficients alike.
+coefficients alike; division and gcd also need an exact ``/``.
 """
 
 from __future__ import annotations
@@ -15,11 +15,12 @@ from .errors import PreconditionError
 DEFAULT_DEGREE_CAP = 64
 
 
-def trim(coeffs: Sequence) -> list:
-    out = list(coeffs)
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+def trim(coeffs: Sequence) -> Sequence:
+    """Drop trailing zeros; a slice, so a list stays a list and a tuple a tuple."""
+    n = len(coeffs)
+    while n and coeffs[n - 1] == 0:
+        n -= 1
+    return coeffs[:n]
 
 
 def poly_add(a: Sequence, b: Sequence) -> list:
@@ -40,16 +41,49 @@ def poly_sub(a: Sequence, b: Sequence) -> list:
 
 
 def poly_mul(a: Sequence, b: Sequence) -> list:
-    a, b = trim(a), trim(b)
     if not a or not b:
         return []
-    out = [a[0] * b[0] * 0] * (len(a) + len(b) - 1)
+    # zero-padded inputs only add zeros that the output trim removes
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x == 0:
             continue
         for j, y in enumerate(b):
             out[i + j] = out[i + j] + x * y
     return trim(out)
+
+
+def poly_divmod(a: Sequence, b: Sequence) -> tuple[list, list]:
+    """Quotient and remainder with a = q*b + r and deg r < deg b.
+
+    The divisor's leading coefficient needs an exact inverse, so pass
+    Fraction or RatFunc coefficients, not ints.
+    """
+    b = trim(b)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    shift = len(b) - 1
+    rem = list(a)
+    quot = [0] * max(0, len(a) - shift)
+    inv_lead = 1 / b[-1]
+    for top in range(len(a) - 1, shift - 1, -1):
+        factor = rem[top] * inv_lead
+        if factor != 0:
+            quot[top - shift] = factor
+            for j, y in enumerate(b):
+                rem[top - shift + j] -= factor * y
+    return trim(quot), trim(rem)
+
+
+def poly_gcd(a: Sequence, b: Sequence) -> list:
+    """Monic greatest common divisor; [] when both inputs are zero."""
+    a, b = trim(a), trim(b)
+    while b:
+        a, b = b, poly_divmod(a, b)[1]
+    if not a:
+        return []
+    lead = a[-1]
+    return [x / lead for x in a]
 
 
 def poly_eval(a: Sequence, x):

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import InconsistencyError, PreconditionError, SceneError
 from .fields import field_from_json
-from .gamma import Gamma, INF
+from .gamma import Gamma, INF, rational
 from .gflow import build_complex, cell_dimension, final_image_membership, flow
 from .newton import branch_events, root_valuations_along_path
 from .pline import (
@@ -59,12 +59,10 @@ def rat_str(x) -> str:
 
 
 def parse_rat(obj) -> Fraction:
-    if isinstance(obj, bool) or not isinstance(obj, (int, str)):
-        raise SceneError(f"expected an exact rational, got {obj!r}")
     try:
-        return Fraction(obj)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SceneError(f"bad rational literal {obj!r}") from exc
+        return rational(obj)
+    except PreconditionError as exc:
+        raise SceneError(str(exc)) from exc
 
 
 def gamma_json(g: Gamma) -> str:
@@ -459,10 +457,13 @@ def _check_trop(field, table, inputs, values, seed) -> None:
 def _run_flow(field, block, fmt, seed, check) -> bytes:
     keys = ("w", "h", "functionals", "xi", "region", "symmetry")
     layout = {k: block[k] for k in keys if k in block}
-    K = build_complex(layout)
-    if "start" not in block:
-        raise SceneError("flow block needs a start point")
-    start = block["start"]
+    try:
+        K = build_complex(layout)
+        if "start" not in block:
+            raise SceneError("flow block needs a start point")
+        start = K.point(block["start"])
+    except PreconditionError as exc:
+        raise SceneError(str(exc)) from exc
     raw_t = block.get("t", "inf")
     t = INF if (isinstance(raw_t, str) and raw_t in ("inf", "oo")) else parse_rat(raw_t)
     res = flow(K, t, start)

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 
@@ -171,6 +173,29 @@ def test_precondition_exits_two(tmp_path):
     )
     res = run_cli("--scene", path)
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "flow_block",
+    [
+        {"w": 5, "h": "h", "start": ["0"]},
+        {
+            "w": ["a", "h"],
+            "h": "h",
+            "functionals": [{"alpha": {"a": "1/0"}, "c": 0}],
+            "start": ["0", "0"],
+        },
+        {"w": ["a", "h"], "h": "z", "start": ["0", "0"]},
+        {"w": ["a", "h"], "h": "h", "start": ["1/0", "0"]},
+    ],
+    ids=["w-not-a-list", "zero-denominator", "h-not-in-w", "bad-start"],
+)
+def test_malformed_flow_layout_exits_one(tmp_path, flow_block):
+    path = write_scene(tmp_path, {"field": {"kind": "padic", "p": 5}, "flow": flow_block})
+    res = run_cli("--scene", path)
+    assert res.returncode == 1
+    assert "scene error" in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_flow_inconsistency_exits_three(tmp_path):

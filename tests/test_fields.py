@@ -6,7 +6,15 @@ from hypothesis import given, strategies as st
 from berkline.errors import PreconditionError
 from berkline.fields import PAdicField, RatFunc, TAdicField, field_from_json
 from berkline.gamma import INF, Gamma
-from berkline.polys import poly_eval, poly_mul, taylor_shift
+from berkline.polys import (
+    poly_add,
+    poly_divmod,
+    poly_eval,
+    poly_gcd,
+    poly_mul,
+    taylor_shift,
+    trim,
+)
 
 Q5 = PAdicField(5)
 Q2 = PAdicField(2)
@@ -189,3 +197,29 @@ def test_taylor_shift_agrees_with_evaluation(coeffs, c, x):
 )
 def test_poly_mul_agrees_with_evaluation(a, b, x):
     assert poly_eval(poly_mul(a, b), x) == poly_eval(a, x) * poly_eval(b, x)
+    # untrimmed and tuple inputs give the same trimmed product
+    assert poly_mul(tuple(a) + (Fraction(0),), b + [0]) == poly_mul(a, b)
+
+
+small_polys = st.lists(st.fractions(max_denominator=6), max_size=5)
+nonzero_polys = small_polys.filter(any)
+
+
+@given(small_polys, nonzero_polys)
+def test_poly_divmod_definition(a, b):
+    q, r = poly_divmod(a, b)
+    assert poly_add(poly_mul(q, b), r) == trim(a)
+    assert len(r) < len(trim(b))  # deg r < deg b, with deg 0 = -infinity
+
+
+@given(small_polys, small_polys, nonzero_polys)
+def test_poly_gcd_is_monic_common_divisor(a, b, c):
+    a, b = poly_mul(a, c), poly_mul(b, c)
+    g = poly_gcd(a, b)
+    if not a and not b:
+        assert g == []
+        return
+    assert g[-1] == 1
+    assert poly_divmod(a, g)[1] == [] and poly_divmod(b, g)[1] == []
+    # every common divisor divides the gcd
+    assert poly_divmod(g, c)[1] == []

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from berkline.gamma import INF, Gamma, GammaError, MinAffine, gmax, gmin
+from berkline.errors import PreconditionError
+from berkline.gamma import INF, Gamma, GammaError, MinAffine, gmax, gmin, rational
 
 rationals = st.fractions(max_denominator=40)
 gammas = st.one_of(rationals.map(Gamma), st.just(INF))
@@ -53,6 +55,25 @@ def test_min_is_a_lattice_operation(a, b, c):
 def test_addition_monotone(a, b):
     assert a + b >= a or b < 0
     assert (a + b) == (b + a)
+
+
+@given(st.one_of(st.integers(), rationals))
+@example(1)
+def test_hash_agrees_with_eq(q):
+    assert Gamma(q) == q and hash(Gamma(q)) == hash(q)
+    assert len({Gamma(q), q, Fraction(q)}) == 1
+
+
+@given(st.one_of(st.integers(), st.fractions()))
+def test_rational_accepts_exact_input(q):
+    assert rational(q) == q
+    assert rational(str(q)) == q
+
+
+@pytest.mark.parametrize("bad", [0.5, True, "1/0", "x", None])
+def test_rational_rejects_inexact_input(bad):
+    with pytest.raises(PreconditionError):
+        rational(bad)
 
 
 # --- MinAffine ---------------------------------------------------------------
@@ -125,6 +146,29 @@ def test_breakpoints_sorted_and_separating(terms):
         slopes = [next(iter(s)) for s in seen]
         assert slopes == sorted(slopes, reverse=True)
         assert len(set(slopes)) == len(slopes)
+
+
+@given(term_lists)
+def test_terms_are_the_strictly_lowest_lines(terms):
+    lines = {}
+    for m, b in terms:
+        if not isinstance(b, Gamma) and (m not in lines or b < lines[m]):
+            lines[m] = b
+    crossings = sorted(
+        {(b2 - b1) / (m1 - m2) for (m1, b1), (m2, b2) in combinations(lines.items(), 2)}
+    )
+    probes = [Fraction(0)]
+    if crossings:
+        probes = [crossings[0] - 1, crossings[-1] + 1]
+        probes += [(x + y) / 2 for x, y in zip(crossings, crossings[1:])]
+    lowest = set()
+    for t in probes:
+        vals = {m: b + m * t for m, b in lines.items()}
+        low = min(vals.values(), default=None)
+        winners = [m for m, v in vals.items() if v == low]
+        if len(winners) == 1:
+            lowest.add((winners[0], lines[winners[0]]))
+    assert MinAffine(terms).terms == tuple(sorted(lowest))
 
 
 def test_eval_at_infinity():
