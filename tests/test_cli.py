@@ -5,7 +5,11 @@ from pathlib import Path
 
 import pytest
 
+from berkline.errors import SceneError
+from berkline.serialize import FORMATS, run_scene
+
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(*args):
@@ -96,6 +100,21 @@ def test_determinism_all_bundled_scenes(tmp_path):
         r2 = run_cli("--scene", str(scene), "--out", str(b))
         assert r1.returncode == 0 and r2.returncode == 0, scene.name
         assert a.read_bytes() == b.read_bytes(), scene.name
+
+
+@pytest.mark.parametrize("scene", sorted(p.stem for p in SCENES.glob("*.json")))
+def test_bundled_scene_bytes_match_golden(scene):
+    # tests/golden/<scene>.<fmt> holds the bytes of every format the scene's
+    # task renders; every other format must be refused as a malformed scene
+    body = json.loads((SCENES / f"{scene}.json").read_text())
+    for fmt in FORMATS:
+        golden = GOLDEN / f"{scene}.{fmt}"
+        for check in (False, True):
+            if golden.exists():
+                assert run_scene(body, fmt=fmt, check=check) == golden.read_bytes(), (fmt, check)
+            else:
+                with pytest.raises(SceneError):
+                    run_scene(body, fmt=fmt, check=check)
 
 
 def test_json_artifacts_reparse_canonically():
