@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 from typing import Mapping, Sequence
 
 from .errors import InconsistencyError, PreconditionError
@@ -30,6 +31,7 @@ from .gamma import Gamma, INF, rational
 from .polyhedra import (
     OPTIMAL,
     UNBOUNDED,
+    canonical_ray,
     cone_generators,
     dot,
     lp_max,
@@ -91,10 +93,7 @@ class CellComplex:
         self.region = tuple(region)
         self.n = len(self.w)
         self._cells = None
-        self._dim = {}
-        self._cone = {}
-        self._d0 = {}
-        self._bary = {}
+        self._memo = {}
 
     def point(self, x) -> tuple:
         """Coerce a mapping or sequence to a coordinate tuple of Gamma."""
@@ -138,15 +137,6 @@ def _affine(layout, w) -> tuple:
     return alpha, c
 
 
-def _canonical_functional(alpha: tuple, c: Fraction) -> tuple:
-    lead = next((a for a in alpha if a != 0), None)
-    if lead is None:
-        scale = Fraction(1) if c == 0 else Fraction(1) / abs(c)
-    else:
-        scale = Fraction(1) / abs(lead)
-    return tuple(a * scale for a in alpha), c * scale
-
-
 def build_complex(layout: Mapping) -> CellComplex:
     """Assemble a complex from coordinate names, functionals, and options.
 
@@ -171,7 +161,7 @@ def build_complex(layout: Mapping) -> CellComplex:
     seen = set()
     for block in layout.get("functionals", ()):
         alpha, c = _affine(block, w)
-        key = _canonical_functional(alpha, c)
+        key = canonical_ray(alpha + (c,))
         if key not in seen:
             seen.add(key)
             funcs.append(Functional(alpha, c))
@@ -190,7 +180,7 @@ def build_complex(layout: Mapping) -> CellComplex:
                 for j, name in enumerate(w):
                     moved[idx[j]] = f.alpha[j]
                 alpha = tuple(moved)
-                key = _canonical_functional(alpha, f.c)
+                key = canonical_ray(alpha + (f.c,))
                 if key not in seen:
                     seen.add(key)
                     funcs.append(Functional(alpha, f.c))
@@ -235,20 +225,29 @@ def _pattern_constraints(K: CellComplex, pattern: tuple) -> tuple:
     return eqs, gts
 
 
+def _per_cell(fn):
+    """Memoize fn(K, cell) in K._memo under (fn, cell pattern)."""
+
+    @wraps(fn)
+    def memoized(K: CellComplex, cell: Cell):
+        key = (fn, cell.pattern)
+        if key not in K._memo:
+            K._memo[key] = fn(K, cell)
+        return K._memo[key]
+
+    return memoized
+
+
+@_per_cell
 def cell_dimension(K: CellComplex, cell: Cell) -> int:
-    if cell.pattern not in K._dim:
-        eqs, _ = _cell_constraints(K, cell)
-        K._dim[cell.pattern] = K.n - rank([a for a, _ in eqs], K.n)
-    return K._dim[cell.pattern]
+    eqs, _ = _cell_constraints(K, cell)
+    return K.n - rank([a for a, _ in eqs], K.n)
 
 
+@_per_cell
 def _recession(K: CellComplex, cell: Cell) -> tuple:
-    if cell.pattern not in K._cone:
-        eqs, gts = _cell_constraints(K, cell)
-        K._cone[cell.pattern] = cone_generators(
-            [a for a, _ in eqs], [a for a, _ in gts], K.n
-        )
-    return K._cone[cell.pattern]
+    eqs, gts = _cell_constraints(K, cell)
+    return cone_generators([a for a, _ in eqs], [a for a, _ in gts], K.n)
 
 
 def _m_bound(K: CellComplex, cell: Cell, i: int):
@@ -256,16 +255,9 @@ def _m_bound(K: CellComplex, cell: Cell, i: int):
     lin, rays = _recession(K, cell)
     hi = None
     lo = Fraction(0)
-    pinned = None
-    for l in lin:
-        if l[K.h_index] != 0:
-            m = l[i] / l[K.h_index]
-            if pinned is not None and pinned != m:
-                return None
-            pinned = m
-        elif l[i] != 0:
-            return None
-    for g in rays:
+    # the cone is lin + cone(rays): each lineality direction l counts as the
+    # two rays l and -l, whose bounds together pin m to l_i / l_h
+    for g in rays + lin + [tuple(-a for a in l) for l in lin]:
         gh = g[K.h_index]
         if gh > 0:
             lo = max(lo, g[i] / gh)
@@ -275,35 +267,25 @@ def _m_bound(K: CellComplex, cell: Cell, i: int):
         else:
             bound = g[i] / gh
             hi = bound if hi is None else min(hi, bound)
-    if pinned is not None:
-        if pinned.denominator != 1 or pinned < lo or (hi is not None and pinned > hi):
-            return None
-        return int(pinned)
     m = -((-lo.numerator) // lo.denominator)  # ceil
     if hi is not None and m > hi:
         return None
     return m
 
 
+@_per_cell
 def classify_D0(K: CellComplex, cell: Cell) -> bool:
     """True when every coordinate is bounded by some m*x_h + c on the cell."""
-    if cell.pattern not in K._d0:
-        K._d0[cell.pattern] = all(
-            _m_bound(K, cell, i) is not None for i in range(K.n)
-        )
-    return K._d0[cell.pattern]
+    return all(_m_bound(K, cell, i) is not None for i in range(K.n))
 
 
+@_per_cell
 def recession_barycenter(K: CellComplex, cell: Cell) -> tuple:
     """Flow direction: 0 on stable cells, else the exact barycenter of
     the recession slice [v_h = 0, sum v = 1], which must be a nonempty
     bounded polytope with nonnegative vertices."""
-    if cell.pattern in K._bary:
-        return K._bary[cell.pattern]
     if classify_D0(K, cell):
-        e = tuple(Fraction(0) for _ in range(K.n))
-        K._bary[cell.pattern] = e
-        return e
+        return tuple(Fraction(0) for _ in range(K.n))
     eqs, gts = _cell_constraints(K, cell)
     unit_h = tuple(
         Fraction(1 if j == K.h_index else 0) for j in range(K.n)
@@ -329,7 +311,6 @@ def recession_barycenter(K: CellComplex, cell: Cell) -> tuple:
     e = tuple(sum(col, Fraction(0)) / k for col in zip(*vertices))
     if any(x < 0 for x in e):
         raise InconsistencyError("flow direction has a negative component")
-    K._bary[cell.pattern] = e
     return e
 
 

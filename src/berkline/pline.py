@@ -26,6 +26,7 @@ spanned by a divisor together with the root.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import PreconditionError
@@ -283,8 +284,8 @@ def _point_sort_key(field, p: PLinePoint):
 def skeleton(field, divisor: Sequence[PLinePoint], labels: Optional[Sequence[str]] = None) -> MetricTree:
     """The subtree spanned by the divisor and the Gauss point.
 
-    Vertices are the divisor points, the Gauss point, and all pairwise
-    joins, closed under join; each non-root vertex is joined to its nearest
+    Vertices are the divisor points, the Gauss point, and the joins of
+    pairs of divisor points; each non-root vertex is joined to its nearest
     ancestor by an edge whose length is the depth difference (``inf`` into
     simple points).  Divisor labels become vertex tags; default labels are
     the list positions as strings.
@@ -297,29 +298,26 @@ def skeleton(field, divisor: Sequence[PLinePoint], labels: Optional[Sequence[str
         raise PreconditionError("one label per divisor point required")
 
     normalized = [normalize_point(field, d) for d in divisor]
-    vertices = {gauss_point(field)}
-    vertices.update(normalized)
-    frontier = list(vertices)
-    while frontier:
-        new = set()
-        for u in frontier:
-            for v in list(vertices):
-                j = join(field, u, v)
-                if j not in vertices and j not in new:
-                    new.add(j)
-        vertices.update(new)
-        frontier = list(new)
+    points = set(normalized)
+    gauss = gauss_point(field)
+    # join is the meet of the tree rooted at the Gauss point, and
+    # join(join(a, b), c) is join(a, c) or join(b, c), so the pairwise
+    # joins are already closed under join
+    vertices = points | {gauss} | {join(field, u, v) for u, v in combinations(points, 2)}
 
     order = sorted(vertices, key=lambda q: _point_sort_key(field, q))
     index = {q: i for i, q in enumerate(order)}
-    root = index[gauss_point(field)]
+    root = index[gauss]
 
     parent: list[Optional[int]] = [None] * len(order)
     lengths: list[Optional[Gamma]] = [None] * len(order)
     for i, v in enumerate(order):
         if i == root:
             continue
-        ancestors = [u for u in order if u != v and join(field, u, v) == u]
+        # each join(v, d) is a vertex on the path from v to the root, and the
+        # nearest vertex above v is the root, a divisor point or a join(a, b),
+        # which then equals join(v, a) or join(v, b)
+        ancestors = ({gauss} | {join(field, v, d) for d in points}) - {v}
         best = max(ancestors, key=lambda u: depth(field, u)._key())
         parent[i] = index[best]
         lengths[i] = depth(field, v) - depth(field, best)
