@@ -102,10 +102,12 @@ class CellComplex:
             if missing:
                 raise PreconditionError(f"point is missing coordinates {missing}")
             vals = [x[name] for name in self.w]
-        else:
+        elif isinstance(x, Sequence) and not isinstance(x, str):
             vals = list(x)
             if len(vals) != self.n:
                 raise PreconditionError("point has the wrong number of coordinates")
+        else:
+            raise PreconditionError("point must be a name map or a coordinate list")
         out = []
         for v in vals:
             if isinstance(v, Gamma):
@@ -117,22 +119,32 @@ class CellComplex:
         return tuple(out)
 
 
+def _listed(layout, key) -> Sequence:
+    """The list under ``key`` of a layout, empty when the key is absent."""
+    items = layout.get(key, ())
+    if not isinstance(items, (list, tuple)):
+        raise PreconditionError(f"{key} must be a list")
+    return items
+
+
 def _affine(layout, w) -> tuple:
     """Parse one {'alpha': ..., 'c': ...} block to (alpha tuple, c)."""
     if isinstance(layout, Mapping):
         alpha_raw = layout.get("alpha", {})
         c = rational(layout.get("c", 0))
-    else:
+    elif isinstance(layout, (list, tuple)) and len(layout) == 2:
         alpha_raw, c = layout
         c = rational(c)
+    else:
+        raise PreconditionError("an affine block must be an {alpha, c} map or a pair")
     if isinstance(alpha_raw, Mapping):
         unknown = [k for k in alpha_raw if k not in w]
         if unknown:
             raise PreconditionError(f"unknown coordinates {unknown}")
         alpha = tuple(rational(alpha_raw.get(name, 0)) for name in w)
     else:
-        if len(alpha_raw) != len(w):
-            raise PreconditionError("coefficient list length must match w")
+        if not isinstance(alpha_raw, (list, tuple)) or len(alpha_raw) != len(w):
+            raise PreconditionError("alpha must be a name map or a list as long as w")
         alpha = tuple(rational(a) for a in alpha_raw)
     return alpha, c
 
@@ -159,15 +171,20 @@ def build_complex(layout: Mapping) -> CellComplex:
         raise PreconditionError("h must be one of the coordinates")
     funcs = []
     seen = set()
-    for block in layout.get("functionals", ()):
+    for block in _listed(layout, "functionals"):
         alpha, c = _affine(block, w)
         key = canonical_ray(alpha + (c,))
         if key not in seen:
             seen.add(key)
             funcs.append(Functional(alpha, c))
     perms = []
-    for p in layout.get("symmetry", ()):
-        if sorted(p) != sorted(w) or sorted(p.values()) != sorted(w):
+    for p in _listed(layout, "symmetry"):
+        if not (
+            isinstance(p, Mapping)
+            and set(p) == set(w)
+            and all(isinstance(v, str) for v in p.values())
+            and set(p.values()) == set(w)
+        ):
             raise PreconditionError("symmetry entries must be permutations of w")
         perms.append({name: p[name] for name in w})
     changed = True
@@ -185,8 +202,8 @@ def build_complex(layout: Mapping) -> CellComplex:
                     seen.add(key)
                     funcs.append(Functional(alpha, f.c))
                     changed = True
-    xis = [_affine(block, w) for block in layout.get("xi", ())]
-    region = [_affine(block, w) for block in layout.get("region", ())]
+    xis = [_affine(block, w) for block in _listed(layout, "xi")]
+    region = [_affine(block, w) for block in _listed(layout, "region")]
     return CellComplex(w, h, funcs, xis, region)
 
 

@@ -206,8 +206,33 @@ def test_precondition_exits_two(tmp_path):
         },
         {"w": ["a", "h"], "h": "z", "start": ["0", "0"]},
         {"w": ["a", "h"], "h": "h", "start": ["1/0", "0"]},
+        {"w": ["a", "h"], "h": "h", "functionals": 5, "start": ["0", "0"]},
+        {"w": ["a", "h"], "h": "h", "functionals": [5], "start": ["0", "0"]},
+        {"w": ["a", "h"], "h": "h", "functionals": [[1, 2, 3]], "start": ["0", "0"]},
+        {"w": ["a", "h"], "h": "h", "functionals": [{"alpha": "11"}], "start": ["0", "0"]},
+        {"w": ["a", "h"], "h": "h", "xi": 5, "start": ["0", "0"]},
+        {"w": ["a", "h"], "h": "h", "region": [{"alpha": 5}], "start": ["0", "0"]},
+        {"w": ["a", "h"], "h": "h", "symmetry": [5], "start": ["0", "0"]},
+        {"w": ["a", "h"], "h": "h", "symmetry": [["a", "h"]], "start": ["0", "0"]},
+        {"w": ["a", "h"], "h": "h", "start": 5},
+        {"w": ["a", "h"], "h": "h", "start": "31"},
     ],
-    ids=["w-not-a-list", "zero-denominator", "h-not-in-w", "bad-start"],
+    ids=[
+        "w-not-a-list",
+        "zero-denominator",
+        "h-not-in-w",
+        "bad-start",
+        "functionals-not-a-list",
+        "functional-not-a-block",
+        "functional-not-a-pair",
+        "alpha-a-string",
+        "xi-not-a-list",
+        "alpha-not-a-list",
+        "symmetry-entry-not-a-map",
+        "symmetry-entry-a-list",
+        "start-not-a-list",
+        "start-a-string",
+    ],
 )
 def test_malformed_flow_layout_exits_one(tmp_path, flow_block):
     path = write_scene(tmp_path, {"field": {"kind": "padic", "p": 5}, "flow": flow_block})

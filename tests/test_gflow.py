@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from berkline import gflow
 from berkline.errors import InconsistencyError, PreconditionError
 from berkline.gamma import Gamma, INF
 from berkline.gflow import (
@@ -20,6 +21,7 @@ from berkline.gflow import (
     recession_barycenter,
     xi_value,
 )
+from berkline.polyhedra import UNBOUNDED, lp_max
 
 
 def fr(x):
@@ -303,6 +305,77 @@ def test_flow_continuity_bound(xyz, axis, eps):
     ey = flow(T, INF, y).endpoint
     gap = max(abs(u.finite - v.finite) for u, v in zip(ex, ey))
     assert gap <= L * eps
+
+
+@st.composite
+def small_complexes(draw):
+    n = draw(st.integers(min_value=2, max_value=3))
+    w = ["a", "b", "h"][-n:]
+    alphas = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    blocks = draw(st.lists(st.tuples(alphas, st.integers(-1, 1)), min_size=1, max_size=3))
+    return build_complex(
+        {"w": w, "h": "h", "functionals": [{"alpha": a, "c": c} for a, c in blocks]}
+    )
+
+
+def closure_constraints(K, cell):
+    """(equalities, inequalities alpha . x >= c) of the cell's closure."""
+    eqs, ges = [], []
+    for f, s in zip(K.functionals, cell.pattern):
+        if s == "=":
+            eqs.append((f.alpha, f.c))
+        elif s == ">":
+            ges.append((f.alpha, f.c))
+        else:
+            ges.append((tuple(-a for a in f.alpha), -f.c))
+    return eqs, ges
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_complexes())
+def test_classify_D0_matches_lp_definition(K):
+    # stable means: for each i some m in N keeps x_i - m*x_h bounded above on
+    # the cell.  With coefficients in [-2, 2] and at most three coordinates,
+    # the ray ratios behind the least such m are at most 8.
+    h = K.h_index
+    for cell in cells(K):
+        eqs, ges = closure_constraints(K, cell)
+
+        def bounded(i):
+            for m in range(9):
+                obj = tuple(fr(j == i) - m * fr(j == h) for j in range(K.n))
+                if lp_max(obj, eqs, ges, K.n)[0] != UNBOUNDED:
+                    return True
+            return False
+
+        assert classify_D0(K, cell) == all(bounded(i) for i in range(K.n)), cell
+
+
+def test_per_cell_memo_counts_cone_enumerations(monkeypatch):
+    calls = []
+    real = gflow.cone_generators
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(gflow, "cone_generators", counting)
+    K = plane()
+    unstable = locate_cell(K, [3, 1])
+    stable = locate_cell(K, [1, 1])
+    # the recession cone, then the recession slice for the barycenter
+    for _ in range(3):
+        assert classify_D0(K, unstable) is False
+        assert recession_barycenter(K, unstable) == (fr(1), fr(0))
+    assert len(calls) == 2
+    # a stable cell needs only its recession cone
+    for _ in range(3):
+        assert classify_D0(K, stable) is True
+        assert recession_barycenter(K, stable) == (fr(0), fr(0))
+    assert len(calls) == 3
+    # a complex built again from the same layout starts with an empty memo
+    assert classify_D0(plane(), unstable) is False
+    assert len(calls) == 4
 
 
 def test_xi_value():

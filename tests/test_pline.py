@@ -25,6 +25,8 @@ from berkline.pline import (
     skeleton,
     skeleton_contains,
 )
+from berkline.pline import _point_sort_key
+from berkline.tree import MetricTree
 
 Q5 = PAdicField(5)
 Q7 = PAdicField(7)
@@ -381,6 +383,88 @@ def test_skeleton_closed_under_join(D):
         for v in tree.points:
             assert join(Q5, u, v) in pts
     assert gauss_point(Q5) in pts
+
+
+def skeleton_by_closure(field, divisor):
+    """The earlier skeleton construction, kept as an oracle: close the vertex set
+    under join to a fixpoint, then give each vertex its deepest proper
+    ancestor found by scanning every vertex."""
+    normalized = [normalize_point(field, d) for d in divisor]
+    vertices = {gauss_point(field)}
+    vertices.update(normalized)
+    frontier = list(vertices)
+    while frontier:
+        new = set()
+        for u in frontier:
+            for v in list(vertices):
+                j = join(field, u, v)
+                if j not in vertices and j not in new:
+                    new.add(j)
+        vertices.update(new)
+        frontier = list(new)
+    order = sorted(vertices, key=lambda q: _point_sort_key(field, q))
+    index = {q: i for i, q in enumerate(order)}
+    root = index[gauss_point(field)]
+    parent = [None] * len(order)
+    lengths = [None] * len(order)
+    for i, v in enumerate(order):
+        if i == root:
+            continue
+        ancestors = [u for u in order if u != v and join(field, u, v) == u]
+        best = max(ancestors, key=lambda u: depth(field, u)._key())
+        parent[i] = index[best]
+        lengths[i] = depth(field, v) - depth(field, best)
+    tags = [()] * len(order)
+    for label, q in zip((str(i) for i in range(len(divisor))), normalized):
+        tags[index[q]] = tags[index[q]] + (label,)
+    return MetricTree(
+        points=tuple(order),
+        parent=tuple(parent),
+        lengths=tuple(lengths),
+        tags=tuple(tags),
+        root=root,
+    )
+
+
+small_radii = st.fractions(min_value=-4, max_value=4, max_denominator=3).map(Gamma)
+
+
+@st.composite
+def tadic_elements(draw):
+    # small Laurent polynomials in t, so valuations from -2 upward occur
+    num = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=4))
+    return RatFunc(num) / RatFunc.t() ** draw(st.integers(0, 2))
+
+
+@st.composite
+def field_points(draw, field, elements):
+    kind = draw(st.integers(min_value=0, max_value=3))
+    if kind == 0:
+        return infinity_point(field)
+    c = field.coerce(draw(elements))
+    if kind == 1:
+        return simple_point(field, c)
+    if kind == 3 and c == field.zero:
+        c = field.one
+    return PLinePoint(STD if kind == 2 else INV, c, draw(small_radii))
+
+
+@st.composite
+def divisors_with_repeats(draw, field, elements):
+    D = draw(st.lists(field_points(field, elements), min_size=1, max_size=5))
+    return D + draw(st.lists(st.sampled_from(D), max_size=2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(divisors_with_repeats(Q5, centers))
+def test_skeleton_matches_closure_oracle_q5(D):
+    assert skeleton(Q5, D) == skeleton_by_closure(Q5, D)
+
+
+@settings(max_examples=40, deadline=None)
+@given(divisors_with_repeats(QT, tadic_elements()))
+def test_skeleton_matches_closure_oracle_qt(D):
+    assert skeleton(QT, D) == skeleton_by_closure(QT, D)
 
 
 def test_tadic_smoke():
