@@ -10,7 +10,8 @@ until they reach the stable set or exhaust their time budget.  Points
 with x_h = infinity never move.
 
 All geometry is exact: feasibility and suprema run through the rational
-simplex in polyhedra, recession cones through exact ray enumeration.
+simplex in polyhedra, recession cones through exact ray enumeration
+over the rank-sized subsets of their rows, the only ones that pin a ray.
 The continuation rule composes steps as x - tau * e_C and restarts in
 the boundary cell reached at the exit time; cell dimensions strictly
 decrease at each crossing, so runs terminate, and the two situations the

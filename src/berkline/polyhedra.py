@@ -203,24 +203,19 @@ def cone_generators(eqs: Sequence, ges: Sequence, n: int) -> tuple:
     G = [tuple(map(Fraction, row)) for row in ges]
     lin = nullspace(E + G, n)
     lin_rref, lin_piv = _rref(lin, n)
-    target = len(lin) + 1
+    # a ray is cut out by E and k rows of G independent modulo E; a larger
+    # subset has the row space, hence the RREF and candidate, of k of them
+    k = n - len(lin) - 1 - rank(E, n)
     rays = {}
-    max_size = min(len(G), n)
-    for size in range(0, max_size + 1):
-        for S in combinations(range(len(G)), size):
-            ns = nullspace(E + [G[j] for j in S], n)
-            if len(ns) != target:
-                continue
-            cand = None
-            for v in ns:
-                red = reduce_against(lin_rref, lin_piv, v)
-                if any(x != 0 for x in red):
-                    cand = red
-                    break
-            if cand is None:
-                continue
-            for r in (cand, tuple(-x for x in cand)):
-                if all(dot(g, r) >= 0 for g in G):
-                    rays[canonical_ray(r)] = None
-                    break
+    for S in combinations(range(len(G)), k) if k >= 0 else ():
+        ns = nullspace(E + [G[j] for j in S], n)
+        if len(ns) != len(lin) + 1:
+            continue
+        # lin lies in ns, so some basis vector of ns reduces to nonzero
+        reduced = (reduce_against(lin_rref, lin_piv, v) for v in ns)
+        cand = next(red for red in reduced if any(x != 0 for x in red))
+        for r in (cand, tuple(-x for x in cand)):
+            if all(dot(g, r) >= 0 for g in G):
+                rays[canonical_ray(r)] = None
+                break
     return lin, list(rays)

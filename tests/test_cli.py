@@ -4,8 +4,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from berkline.errors import SceneError
+from berkline.errors import PreconditionError, SceneError
 from berkline.serialize import FORMATS, run_scene
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
@@ -117,6 +118,49 @@ def test_bundled_scene_bytes_match_golden(scene):
                     run_scene(body, fmt=fmt, check=check)
 
 
+FUZZ_TASKS = ("skeleton", "retract", "newton", "trop", "family")
+FUZZ_SCENES = [
+    body
+    for body in (json.loads(p.read_text()) for p in sorted(SCENES.glob("*.json")))
+    if any(task in body for task in FUZZ_TASKS)
+]
+FUZZ_VALUES = [0, 1, -1, 3, None, True, "1/0", "x", [], {}, [[1]], [[[]]], [1, [2]]]
+
+
+def entries(node):
+    """(container, key) of every key or list entry at or below node."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield node, key
+        if isinstance(value, (dict, list)):
+            yield from entries(value)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_scene_fuzz_fails_only_as_scene_or_precondition_error(data):
+    # one key of the task block or the field, or one entry nested below it,
+    # takes a value from the pool
+    body = json.loads(json.dumps(data.draw(st.sampled_from(FUZZ_SCENES))))
+    task = next(task for task in FUZZ_TASKS if task in body)
+    part = body[data.draw(st.sampled_from([task, "field"]))]
+    node, key = data.draw(st.sampled_from(list(entries(part))))
+    node[key] = data.draw(st.sampled_from(FUZZ_VALUES))
+    try:
+        out = run_scene(body, check=data.draw(st.booleans()))
+    except (SceneError, PreconditionError):
+        return
+    assert isinstance(out, bytes)
+
+
+@pytest.mark.parametrize("t", ["0", "1", "3/2"])
+def test_flow_check_accepts_time_running_out(t):
+    # with a finite time the endpoint need not be stable yet
+    body = json.loads((SCENES / "flow_plane.json").read_text())
+    body["flow"]["t"] = t
+    assert run_scene(body, check=True) == run_scene(body)
+
+
 def test_json_artifacts_reparse_canonically():
     for scene in sorted(SCENES.glob("*.json")):
         body = json.loads(scene.read_text())
@@ -216,6 +260,7 @@ def test_precondition_exits_two(tmp_path):
         {"w": ["a", "h"], "h": "h", "symmetry": [["a", "h"]], "start": ["0", "0"]},
         {"w": ["a", "h"], "h": "h", "start": 5},
         {"w": ["a", "h"], "h": "h", "start": "31"},
+        {"w": ["a", "h"], "h": "h", "start": ["0", "0"], "t": "-1"},
     ],
     ids=[
         "w-not-a-list",
@@ -232,6 +277,7 @@ def test_precondition_exits_two(tmp_path):
         "symmetry-entry-a-list",
         "start-not-a-list",
         "start-a-string",
+        "negative-t",
     ],
 )
 def test_malformed_flow_layout_exits_one(tmp_path, flow_block):
