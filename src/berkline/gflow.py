@@ -17,7 +17,10 @@ the boundary cell reached at the exit time; cell dimensions strictly
 decrease at each crossing, so runs terminate, and the two situations the
 construction cannot produce (a flow direction that leaves its cell's
 affine hull, and an unbounded recession slice on an unstable cell) stop
-the run with an inconsistency error instead of guessing.
+the run with an inconsistency error instead of guessing.  The flow needs
+the functionals' alphas together with e_h to span Q^w: otherwise a
+direction all of them miss is a lineality direction of every cell, no
+cell is stable, and every flow at finite height stops with that error.
 """
 
 from __future__ import annotations
@@ -425,14 +428,27 @@ def cells(K: CellComplex) -> tuple:
     return K._cells
 
 
+def _is_face(c: tuple, d: tuple) -> bool:
+    """True when the nonempty cell with pattern c lies in the closure of
+    the cell with pattern d: every sign of c is = or agrees with d's."""
+    return all(s == EQ or s == t for s, t in zip(c, d))
+
+
 def core_bounds(K: CellComplex) -> dict:
     """Per-coordinate (m, c) with x_i <= m*x_h + c on the stable set
-    intersected with the region; vacuous coordinates report (0, 0)."""
+    intersected with the region; vacuous coordinates report (0, 0).
+
+    Only stable cells that are maximal among stable cells run LPs: a
+    stable face has a smaller closure and recession cone than its cell,
+    so its region test, objective values and m never exceed the cell's,
+    and its LP is unbounded only if the cell's is.
+    """
     if not K.region:
         raise PreconditionError("core bounds need a bounded-below region")
+    stable = [cell for cell in cells(K) if classify_D0(K, cell)]
     active = []
-    for cell in cells(K):
-        if not classify_D0(K, cell):
+    for cell in stable:
+        if any(d != cell and _is_face(cell.pattern, d.pattern) for d in stable):
             continue
         eqs, gts = _cell_constraints(K, cell)
         closure = [(a, r) for a, r in gts] + list(K.region)

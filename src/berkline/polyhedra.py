@@ -3,13 +3,16 @@
 Vectors are tuples of Fraction.  Constraint systems are given as
 (coefficients, rhs) pairs: equalities mean coeffs . x = rhs and
 inequalities mean coeffs . x >= rhs.  Everything is exact; the simplex
-uses Bland's rule, so it terminates on every input.
+uses Bland's rule, so it terminates on every input.  Row reduction and
+the simplex pivot on integer rows with one denominator each and convert
+to Fraction only at their results.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from typing import Sequence
 
 OPTIMAL = "optimal"
@@ -21,23 +24,46 @@ def dot(a: Sequence, b: Sequence) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
+def _norm(row: list, den: int) -> tuple:
+    """The pair (row, den) divided by its gcd, with den made positive."""
+    if den < 0:
+        row, den = [-v for v in row], -den
+    g = gcd(den, *row)
+    if g == 1:
+        return row, den
+    return [v // g for v in row], den // g
+
+
+def _int_row(values: Sequence) -> tuple:
+    """Exact rationals as (integer row, positive denominator)."""
+    fr = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    den = lcm(*(v.denominator for v in fr))
+    return _norm([v.numerator * (den // v.denominator) for v in fr], den)
+
+
 def _pivot(rows: list, r: int, col: int) -> None:
-    """Gauss-Jordan step: scale row r to a unit at col, clear col elsewhere."""
-    piv = rows[r][col]
-    row = rows[r] = [v / piv for v in rows[r]]
-    for i, other in enumerate(rows):
+    """Gauss-Jordan step: scale row r to a unit at col, clear col elsewhere.
+
+    Each row is a pair (integer list, positive denominator) standing for
+    the rationals entry / denominator, so one gcd per row and step keeps
+    the entries small; signs and ratios read off the integers directly.
+    """
+    prow, _ = rows[r]
+    piv = prow[col]
+    rows[r] = _norm(prow, piv)
+    for i, (other, den) in enumerate(rows):
         f = other[col]
         if i != r and f != 0:
-            rows[i] = [v - f * w for v, w in zip(other, row)]
+            rows[i] = _norm([v * piv - f * w for v, w in zip(other, prow)], den * piv)
 
 
 def _rref(rows: Sequence, width: int) -> tuple:
     """Reduced row echelon form; returns (rows, pivot column list)."""
-    mat = [list(map(Fraction, r)) for r in rows]
+    mat = [_int_row(r) for r in rows]
     pivots = []
     r = 0
     for col in range(width):
-        sel = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
+        sel = next((i for i in range(r, len(mat)) if mat[i][0][col] != 0), None)
         if sel is None:
             continue
         mat[r], mat[sel] = mat[sel], mat[r]
@@ -46,7 +72,7 @@ def _rref(rows: Sequence, width: int) -> tuple:
         r += 1
         if r == len(mat):
             break
-    return [tuple(row) for row in mat[:r]], pivots
+    return [tuple(Fraction(v, den) for v in row) for row, den in mat[:r]], pivots
 
 
 def rank(rows: Sequence, width: int) -> int:
@@ -91,90 +117,83 @@ def lp_max(objective: Sequence, eqs: Sequence, ges: Sequence, n: int) -> tuple:
     Returns (status, value, point) with status one of optimal,
     unbounded, infeasible; value and point are None unless optimal.
     """
-    rows = []
-    for coeffs, rhs in eqs:
-        rows.append((list(coeffs), Fraction(rhs), True))
-    for coeffs, rhs in ges:
-        rows.append((list(coeffs), Fraction(rhs), False))
+    rows = [(coeffs, rhs, True) for coeffs, rhs in eqs]
+    rows += [(coeffs, rhs, False) for coeffs, rhs in ges]
     m = len(rows)
-    nslack = sum(0 if is_eq else 1 for _, _, is_eq in rows)
+    nslack = len(ges)
     ncols = 2 * n + nslack + m
+    # rows 0..m-1 are the constraints, row m the objective row of the
+    # running phase, which every pivot keeps reduced against the basis
     tableau = []
     basis = []
     si = 0
     for ridx, (coeffs, rhs, is_eq) in enumerate(rows):
-        row = [Fraction(0)] * (ncols + 1)
-        for j in range(n):
-            c = Fraction(coeffs[j]) if j < len(coeffs) else Fraction(0)
-            row[j] = c
-            row[n + j] = -c
+        ints, den = _int_row(list(coeffs[:n]) + [0] * (n - len(coeffs)) + [rhs])
+        sign = -1 if ints[-1] < 0 else 1
+        a = [sign * v for v in ints]
+        row = a[:n] + [-v for v in a[:n]] + [0] * (nslack + m) + a[n:]
         if not is_eq:
-            row[2 * n + si] = Fraction(-1)
+            row[2 * n + si] = -sign * den
             si += 1
-        row[-1] = rhs
-        if rhs < 0:
-            row = [-v for v in row]
         art = 2 * n + nslack + ridx
-        row[art] = Fraction(1)
-        tableau.append(row)
+        row[art] = den
+        tableau.append((row, den))
         basis.append(art)
 
     def run_phase(costs, active_cols):
-        # objective row kept reduced against the basis, so each iteration
-        # reads Bland's entering column in one scan instead of recomputing
-        zrow = list(costs)
+        # basic columns are unit columns, so pivoting on one again only
+        # clears it from the new objective row
+        tableau.append(_int_row(costs))
         for i, b in enumerate(basis):
-            if zrow[b] != 0:
-                f = zrow[b]
-                zrow = [v - f * w for v, w in zip(zrow, tableau[i])]
+            if tableau[m][0][b] != 0:
+                _pivot(tableau, i, b)
         while True:
+            zrow = tableau[m][0]
             enter = next((j for j in range(active_cols) if zrow[j] > 0), None)
             if enter is None:
-                return OPTIMAL, -zrow[-1]
-            best = None
+                return OPTIMAL, tableau.pop()[0]
+            # Bland's leaving row: least ratio rhs / coef, ties to the least
+            # basic column; denominators cancel, so compare cross products
+            leave = None
             for i in range(m):
-                coef = tableau[i][enter]
-                if coef > 0:
-                    ratio = tableau[i][-1] / coef
-                    key = (ratio, basis[i])
-                    if best is None or key < best[0]:
-                        best = (key, i)
-            if best is None:
+                row = tableau[i][0]
+                if row[enter] > 0:
+                    if leave is None:
+                        leave = i
+                        continue
+                    best = tableau[leave][0]
+                    lhs, rhs = row[-1] * best[enter], best[-1] * row[enter]
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                        leave = i
+            if leave is None:
+                tableau.pop()
                 return UNBOUNDED, None
-            _, leave = best
             _pivot(tableau, leave, enter)
-            f = zrow[enter]
-            if f != 0:
-                zrow = [v - f * w for v, w in zip(zrow, tableau[leave])]
             basis[leave] = enter
 
-    phase1 = [Fraction(0)] * ncols
-    for a in range(2 * n + nslack, ncols):
-        phase1[a] = Fraction(-1)
-    status, val = run_phase(phase1 + [Fraction(0)], ncols)
-    if val != 0:
+    phase1 = [0] * (2 * n + nslack) + [-1] * m + [0]
+    _, zrow = run_phase(phase1, ncols)
+    if zrow[-1] != 0:
         return INFEASIBLE, None, None
     # pivot artificials out of the basis; drop rows that are fully redundant
     for i in range(m):
         if basis[i] >= 2 * n + nslack:
-            enter = next((j for j in range(2 * n + nslack) if tableau[i][j] != 0), None)
+            enter = next((j for j in range(2 * n + nslack) if tableau[i][0][j] != 0), None)
             if enter is None:
                 continue
             _pivot(tableau, i, enter)
             basis[i] = enter
-    phase2 = [Fraction(0)] * (ncols + 1)
-    for j in range(n):
-        c = Fraction(objective[j]) if j < len(objective) else Fraction(0)
-        phase2[j] = c
-        phase2[n + j] = -c
+    cost = list(objective[:n]) + [0] * (n - len(objective))
+    phase2 = cost + [-c for c in cost] + [0] * (nslack + m + 1)
     # artificial columns are excluded from entering, so they stay at zero
-    status, val = run_phase(phase2, 2 * n + nslack)
+    status, _ = run_phase(phase2, 2 * n + nslack)
     if status == UNBOUNDED:
         return UNBOUNDED, None, None
     point = [Fraction(0)] * (2 * n)
     for i, b in enumerate(basis):
         if b < 2 * n:
-            point[b] = tableau[i][-1]
+            row, den = tableau[i]
+            point[b] = Fraction(row[-1], den)
     x = tuple(point[j] - point[n + j] for j in range(n))
     return OPTIMAL, dot(objective, x), x
 

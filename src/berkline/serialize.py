@@ -30,6 +30,7 @@ from .pline import (
     skeleton,
     skeleton_contains,
 )
+from .polyhedra import rank
 from .topo import family_sweep
 from .trop import tau_h
 
@@ -459,6 +460,11 @@ def _run_flow(field, block, fmt, seed, check) -> bytes:
     layout = {k: block[k] for k in keys if k in block}
     try:
         K = build_complex(layout)
+        unit_h = [int(j == K.h_index) for j in range(K.n)]
+        if rank([f.alpha for f in K.functionals] + [unit_h], K.n) < K.n:
+            # a direction unseen by every functional and by h is a lineality
+            # direction of every cell, so no cell is stable
+            raise SceneError("the functionals together with h must span the coordinates")
         if "start" not in block:
             raise SceneError("flow block needs a start point")
         start = K.point(block["start"])

@@ -261,6 +261,8 @@ def test_precondition_exits_two(tmp_path):
         {"w": ["a", "h"], "h": "h", "start": 5},
         {"w": ["a", "h"], "h": "h", "start": "31"},
         {"w": ["a", "h"], "h": "h", "start": ["0", "0"], "t": "-1"},
+        {"w": ["a", "h"], "h": "h", "functionals": [], "start": ["0", "0"]},
+        {"w": ["a", "h"], "h": "h", "functionals": [{"alpha": {"h": 1}}], "start": ["0", "0"]},
     ],
     ids=[
         "w-not-a-list",
@@ -278,6 +280,8 @@ def test_precondition_exits_two(tmp_path):
         "start-not-a-list",
         "start-a-string",
         "negative-t",
+        "no-functionals",
+        "functionals-miss-a-coordinate",
     ],
 )
 def test_malformed_flow_layout_exits_one(tmp_path, flow_block):

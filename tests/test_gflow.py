@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ from berkline.errors import InconsistencyError, PreconditionError
 from berkline.gamma import Gamma, INF
 from berkline.gflow import (
     Cell,
+    _cell_constraints,
+    _m_bound,
     build_complex,
     cell_dimension,
     cells,
@@ -21,7 +24,8 @@ from berkline.gflow import (
     recession_barycenter,
     xi_value,
 )
-from berkline.polyhedra import UNBOUNDED, lp_max
+from berkline.polyhedra import OPTIMAL, UNBOUNDED, lp_max, strict_feasible
+from test_acceptance import _gflow_layout
 
 
 def fr(x):
@@ -383,3 +387,64 @@ def test_xi_value():
     assert xi_value(K, 0, [3, 1]) == 1
     res = flow(K, INF, [3, 1])
     assert xi_value(K, 0, res.endpoint) == 1
+
+
+def core_bounds_all_active(K):
+    """core_bounds before the maximal-cell pruning, kept as an oracle:
+    every stable cell runs the region test and the objective LPs."""
+    if not K.region:
+        raise PreconditionError("core bounds need a bounded-below region")
+    active = []
+    for cell in cells(K):
+        if not classify_D0(K, cell):
+            continue
+        eqs, gts = _cell_constraints(K, cell)
+        closure = [(a, r) for a, r in gts] + list(K.region)
+        if strict_feasible(eqs, closure, [], K.n) is None:
+            continue
+        active.append((cell, eqs, closure))
+    out = {}
+    for i, name in enumerate(K.w):
+        if not active:
+            out[name] = (0, Fraction(0))
+            continue
+        m = max(_m_bound(K, cell, i) for cell, _, _ in active)
+        best = None
+        for _, eqs, closure in active:
+            obj = tuple(
+                Fraction(1 if j == i else 0) - m * Fraction(1 if j == K.h_index else 0)
+                for j in range(K.n)
+            )
+            status, val, _ = lp_max(obj, eqs, closure, K.n)
+            if status == UNBOUNDED:
+                raise InconsistencyError(
+                    "stable cell is unbounded above within the region"
+                )
+            if status == OPTIMAL and (best is None or val > best):
+                best = val
+        out[name] = (m, Fraction(0) if best is None else best)
+    return out
+
+
+def _outcome(fn, K):
+    try:
+        return fn(K)
+    except (InconsistencyError, PreconditionError) as exc:
+        return type(exc)
+
+
+def test_core_bounds_matches_all_active_oracle():
+    # acceptance-shape complexes in Q^2, Q^3 and Q^4; some keep one region
+    # half-space only, and some keep none, which both versions must refuse
+    rng = random.Random(8080)
+    seen = {2: 0, 3: 0, 4: 0, PreconditionError: 0}
+    for k in range(60):
+        n = (2, 3, 4)[k % 3]
+        layout = _gflow_layout(rng, n, rng.randint(0, (2, 4, 2)[n - 2]))
+        if k % 5 == 4:
+            layout["region"] = rng.sample(layout["region"], rng.randint(0, 1))
+        K = build_complex(layout)
+        want = _outcome(core_bounds_all_active, K)
+        assert _outcome(core_bounds, K) == want, layout
+        seen[want if want is PreconditionError else n] += 1
+    assert min(seen.values()) >= 5, seen

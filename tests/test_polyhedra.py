@@ -226,3 +226,235 @@ def test_cone_generators_nullspace_count(monkeypatch):
     lin, rays = cone_generators([], ges, 6)
     assert len(calls) == 253
     assert lin == [] and sorted(rays) == sorted(units)
+
+
+# The Fraction simplex and row reduction that the integer-row pivot
+# replaced, and strict_feasible over that simplex, kept verbatim (renamed)
+# as differential oracles.
+
+
+def _pivot_fraction(rows: list, r: int, col: int) -> None:
+    """Gauss-Jordan step: scale row r to a unit at col, clear col elsewhere."""
+    piv = rows[r][col]
+    row = rows[r] = [v / piv for v in rows[r]]
+    for i, other in enumerate(rows):
+        f = other[col]
+        if i != r and f != 0:
+            rows[i] = [v - f * w for v, w in zip(other, row)]
+
+
+def rref_fraction(rows, width: int) -> tuple:
+    """Reduced row echelon form; returns (rows, pivot column list)."""
+    mat = [list(map(Fraction, r)) for r in rows]
+    pivots = []
+    r = 0
+    for col in range(width):
+        sel = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
+        if sel is None:
+            continue
+        mat[r], mat[sel] = mat[sel], mat[r]
+        _pivot_fraction(mat, r, col)
+        pivots.append(col)
+        r += 1
+        if r == len(mat):
+            break
+    return [tuple(row) for row in mat[:r]], pivots
+
+
+def lp_max_fraction(objective, eqs, ges, n: int) -> tuple:
+    """Maximize objective . x subject to the constraints, x free.
+
+    Returns (status, value, point) with status one of optimal,
+    unbounded, infeasible; value and point are None unless optimal.
+    """
+    rows = []
+    for coeffs, rhs in eqs:
+        rows.append((list(coeffs), Fraction(rhs), True))
+    for coeffs, rhs in ges:
+        rows.append((list(coeffs), Fraction(rhs), False))
+    m = len(rows)
+    nslack = sum(0 if is_eq else 1 for _, _, is_eq in rows)
+    ncols = 2 * n + nslack + m
+    tableau = []
+    basis = []
+    si = 0
+    for ridx, (coeffs, rhs, is_eq) in enumerate(rows):
+        row = [Fraction(0)] * (ncols + 1)
+        for j in range(n):
+            c = Fraction(coeffs[j]) if j < len(coeffs) else Fraction(0)
+            row[j] = c
+            row[n + j] = -c
+        if not is_eq:
+            row[2 * n + si] = Fraction(-1)
+            si += 1
+        row[-1] = rhs
+        if rhs < 0:
+            row = [-v for v in row]
+        art = 2 * n + nslack + ridx
+        row[art] = Fraction(1)
+        tableau.append(row)
+        basis.append(art)
+
+    def run_phase(costs, active_cols):
+        # objective row kept reduced against the basis, so each iteration
+        # reads Bland's entering column in one scan instead of recomputing
+        zrow = list(costs)
+        for i, b in enumerate(basis):
+            if zrow[b] != 0:
+                f = zrow[b]
+                zrow = [v - f * w for v, w in zip(zrow, tableau[i])]
+        while True:
+            enter = next((j for j in range(active_cols) if zrow[j] > 0), None)
+            if enter is None:
+                return OPTIMAL, -zrow[-1]
+            best = None
+            for i in range(m):
+                coef = tableau[i][enter]
+                if coef > 0:
+                    ratio = tableau[i][-1] / coef
+                    key = (ratio, basis[i])
+                    if best is None or key < best[0]:
+                        best = (key, i)
+            if best is None:
+                return UNBOUNDED, None
+            _, leave = best
+            _pivot_fraction(tableau, leave, enter)
+            f = zrow[enter]
+            if f != 0:
+                zrow = [v - f * w for v, w in zip(zrow, tableau[leave])]
+            basis[leave] = enter
+
+    phase1 = [Fraction(0)] * ncols
+    for a in range(2 * n + nslack, ncols):
+        phase1[a] = Fraction(-1)
+    status, val = run_phase(phase1 + [Fraction(0)], ncols)
+    if val != 0:
+        return INFEASIBLE, None, None
+    # pivot artificials out of the basis; drop rows that are fully redundant
+    for i in range(m):
+        if basis[i] >= 2 * n + nslack:
+            enter = next((j for j in range(2 * n + nslack) if tableau[i][j] != 0), None)
+            if enter is None:
+                continue
+            _pivot_fraction(tableau, i, enter)
+            basis[i] = enter
+    phase2 = [Fraction(0)] * (ncols + 1)
+    for j in range(n):
+        c = Fraction(objective[j]) if j < len(objective) else Fraction(0)
+        phase2[j] = c
+        phase2[n + j] = -c
+    # artificial columns are excluded from entering, so they stay at zero
+    status, val = run_phase(phase2, 2 * n + nslack)
+    if status == UNBOUNDED:
+        return UNBOUNDED, None, None
+    point = [Fraction(0)] * (2 * n)
+    for i, b in enumerate(basis):
+        if b < 2 * n:
+            point[b] = tableau[i][-1]
+    x = tuple(point[j] - point[n + j] for j in range(n))
+    return OPTIMAL, dot(objective, x), x
+
+
+def strict_feasible_fraction(eqs, ges, gts, n: int):
+    """A point satisfying eqs, ges (>=) and gts (>) exactly, or None."""
+    obj = [Fraction(0)] * n + [Fraction(1)]
+    eqs2 = [(list(coeffs) + [Fraction(0)], rhs) for coeffs, rhs in eqs]
+    ges2 = [(list(coeffs) + [Fraction(0)], rhs) for coeffs, rhs in ges]
+    for coeffs, rhs in gts:
+        ges2.append((list(coeffs) + [Fraction(-1)], rhs))
+    ges2.append(([Fraction(0)] * n + [Fraction(-1)], Fraction(-1)))  # delta <= 1
+    status, val, point = lp_max_fraction(obj, eqs2, ges2, n + 1)
+    if status != OPTIMAL or val <= 0:
+        return None
+    return point[:n]
+
+
+def random_system(rng):
+    """A random LP with rational data: equalities, redundant and negated
+    rows, duplicated rows, and bounds that may be missing or crossing."""
+    n = rng.randint(1, 4)
+
+    def q():
+        return Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 7)))
+
+    def row():
+        return tuple(q() for _ in range(n))
+
+    eqs = [(row(), q()) for _ in range(rng.choice((0, 0, 1, 2)))]
+    ges = [(row(), q()) for _ in range(rng.randint(0, 6))]
+    kind = rng.randrange(4)
+    if kind == 1 and eqs:
+        # a redundant equality: a rational multiple of one already present
+        a, b = rng.choice(eqs)
+        k = Fraction(rng.choice((-3, -1, 2, 5)), rng.choice((1, 2, 3)))
+        eqs.append((tuple(k * x for x in a), k * b))
+    elif kind == 2 and ges:
+        # a row and its negation with a shifted constant: a slab or nothing
+        a, b = rng.choice(ges)
+        ges.append((tuple(-x for x in a), -b + rng.randint(-2, 1)))
+    elif kind == 3:
+        # a bounding box keeps most objectives finite
+        for j in range(n):
+            e = tuple(Fraction(int(i == j)) for i in range(n))
+            ges.append((e, Fraction(-rng.randint(0, 3))))
+            ges.append((tuple(-x for x in e), Fraction(-rng.randint(0, 3))))
+    if ges and rng.random() < 0.3:
+        ges.append(rng.choice(ges))
+    rng.shuffle(ges)
+    return row(), eqs, ges, n
+
+
+# Degenerate systems with a whole optimal face, on which the returned
+# optimum depends on how the ratio test breaks ties; random systems
+# almost never hit such a case.
+TIE_SENSITIVE = (
+    (
+        V(0, -1, -1),
+        [],
+        [(V(1, 1, -1), 1), (V(0, -1, 1), 0), (V(-1, 1, 1), -1), (V(1, 0, 1), -1), (V(0, 1, 0), 1)],
+        3,
+    ),
+    (
+        V(1, 1, -1),
+        [],
+        [(V(0, 1, 0), -1), (V(-1, -1, 0), 1), (V(1, 0, 1), 0), (V(-1, 0, 1), 0), (V(0, 0, 1), 1)],
+        3,
+    ),
+)
+
+
+def test_lp_max_matches_fraction_oracle():
+    rng = random.Random(31337)
+    statuses = {OPTIMAL: 0, UNBOUNDED: 0, INFEASIBLE: 0}
+    systems = [random_system(rng) for _ in range(400)] + list(TIE_SENSITIVE)
+    for obj, eqs, ges, n in systems:
+        got = lp_max(obj, eqs, ges, n)
+        assert got == lp_max_fraction(obj, eqs, ges, n), (obj, eqs, ges, n)
+        statuses[got[0]] += 1
+        gts, rest = ges[: len(ges) // 2], ges[len(ges) // 2 :]
+        want = strict_feasible_fraction(eqs, rest, gts, n)
+        assert strict_feasible(eqs, rest, gts, n) == want
+    assert min(statuses.values()) >= 40, statuses
+
+
+def test_rref_matches_fraction_oracle():
+    rng = random.Random(4242)
+    deficient = 0
+    for _ in range(600):
+        width = rng.randint(1, 6)
+        rows = [
+            tuple(Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 5))) for _ in range(width))
+            for _ in range(rng.randint(0, 5))
+        ]
+        if rows and rng.random() < 0.4:
+            # redundant rows: a combination of two rows already present
+            a, b = rng.choice(rows), rng.choice(rows)
+            k = Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+            rows.insert(rng.randrange(len(rows) + 1), tuple(x + k * y for x, y in zip(a, b)))
+        if rng.random() < 0.2:
+            rows.append(tuple(Fraction(0) for _ in range(width)))
+        got = _rref(rows, width)
+        assert got == rref_fraction(rows, width), (rows, width)
+        assert all(type(v) is Fraction for row in got[0] for v in row)
+        deficient += len(got[0]) < len(rows)
+    assert deficient >= 100, deficient
