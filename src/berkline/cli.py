@@ -1,13 +1,14 @@
 """Command-line surface: run one scene file and emit one artifact.
 
-Exit codes: 0 success, 1 malformed scene, 2 violated kernel
-precondition, 3 flagged mathematical inconsistency.
+Exit codes: 0 success, 1 malformed scene or unwritable output, 2 violated
+kernel precondition, 3 flagged mathematical inconsistency.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .errors import InconsistencyError, PreconditionError, SceneError
 from .serialize import FORMATS, load_scene, run_scene
@@ -53,12 +54,15 @@ def main(argv=None) -> int:
         print(f"inconsistency: {exc}", file=sys.stderr)
         return 3
 
-    if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(payload)
-    else:
+    if not args.out:
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()
+        return 0
+    try:
+        Path(args.out).write_bytes(payload)
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

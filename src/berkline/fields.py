@@ -18,8 +18,9 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .errors import PreconditionError, SceneError
-from .gamma import INF, Gamma, Rational
+from .gamma import INF, Gamma, Rational, rational
 from .polys import poly_add, poly_divmod, poly_gcd, poly_mul, poly_neg, trim
+from .spec import FIELD, walk
 
 __all__ = ["PAdicField", "TAdicField", "RatFunc", "ValuedField", "field_from_json"]
 
@@ -167,6 +168,22 @@ class RatFunc:
         return f"RatFunc(({side(self.num)})/({side(self.den)}))"
 
 
+# Miller-Rabin with these bases decides primality exactly below _PRIME_LIMIT
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2 or any(n % a == 0 for a in _PRIME_BASES):
+        return n in _PRIME_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    # n passes base a when a^d = 1 or a^(d * 2^i) = -1 for some i < s
+    return all(
+        pow(a, d, n) == 1 or n - 1 in (pow(a, d << i, n) for i in range(s)) for a in _PRIME_BASES
+    )
+
+
 def _int_val(n: int, p: int) -> int:
     if n == 0:
         raise ValueError("valuation of zero integer")
@@ -183,11 +200,10 @@ class PAdicField:
     kind = "padic"
 
     def __init__(self, p: int):
-        if not isinstance(p, int) or p < 2:
+        if isinstance(p, int) and p >= _PRIME_LIMIT:
+            raise ValueError(f"p must be below {_PRIME_LIMIT} for an exact primality test")
+        if not isinstance(p, int) or not _is_prime(p):
             raise ValueError(f"p not prime: {p!r}")
-        for d in range(2, int(p**0.5) + 1):
-            if p % d == 0:
-                raise ValueError(f"p not prime: {p}")
         self.p = p
         self.residue_char = p
 
@@ -257,21 +273,11 @@ class PAdicField:
         return str(self.coerce(a))
 
     def elem_from_json(self, obj) -> Fraction:
-        if isinstance(obj, int):
-            return Fraction(obj)
-        if isinstance(obj, str):
-            try:
-                return Fraction(obj)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise SceneError(f"bad rational literal {obj!r}") from exc
-        raise SceneError(f"bad p-adic element {obj!r}")
+        return rational(obj)
 
     def sort_key(self, a):
         a = self.coerce(a)
         return (a.numerator, a.denominator)
-
-    def to_json(self) -> dict:
-        return {"kind": "padic", "p": self.p}
 
 
 class TAdicField:
@@ -356,45 +362,31 @@ class TAdicField:
         }
 
     def elem_from_json(self, obj) -> RatFunc:
-        if isinstance(obj, int):
-            return RatFunc((obj,))
-        if isinstance(obj, str):
-            try:
-                return RatFunc((Fraction(obj),))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise SceneError(f"bad rational literal {obj!r}") from exc
-        if isinstance(obj, dict) and set(obj) <= {"num", "den"}:
-            try:
-                num = [Fraction(c) for c in obj.get("num", [])]
-                den = [Fraction(c) for c in obj.get("den", ["1"])]
-                return RatFunc(num, den)
-            except (ValueError, TypeError, ZeroDivisionError) as exc:
-                raise SceneError(f"bad t-adic element {obj!r}") from exc
-        raise SceneError(f"bad t-adic element {obj!r}")
+        """A rational, or {"num": [...], "den": [...]} coefficient lists."""
+        if not isinstance(obj, dict):
+            return RatFunc((rational(obj),))
+        num, den = obj.get("num", []), obj.get("den", ["1"])
+        if not (set(obj) <= {"num", "den"} and isinstance(num, list) and isinstance(den, list)):
+            raise PreconditionError(f"bad t-adic element {obj!r}")
+        den = [rational(c) for c in den]
+        if not any(den):
+            raise PreconditionError("t-adic element with zero denominator")
+        return RatFunc([rational(c) for c in num], den)
 
     def sort_key(self, a):
         a = self.coerce(a)
         return (len(a.num), len(a.den), a.num, a.den)
-
-    def to_json(self) -> dict:
-        return {"kind": "tadic"}
 
 
 ValuedField = Union[PAdicField, TAdicField]
 
 
 def field_from_json(obj) -> ValuedField:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise SceneError(f"bad field description {obj!r}")
-    kind = obj["kind"]
-    if kind == "padic":
-        p = obj.get("p")
-        if not isinstance(p, int):
-            raise SceneError("padic field needs an integer p")
-        try:
-            return PAdicField(p)
-        except ValueError as exc:
-            raise SceneError(str(exc)) from exc
-    if kind == "tadic":
+    """The field of a scene's "field" description, read by ``spec.FIELD``."""
+    desc = walk(FIELD, obj, "field")
+    if desc["kind"] == "tadic":
         return TAdicField()
-    raise SceneError(f"unknown field kind {kind!r}")
+    try:
+        return PAdicField(desc["p"])
+    except ValueError as exc:
+        raise SceneError(f"field.p: {exc}") from exc

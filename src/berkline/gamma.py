@@ -6,11 +6,10 @@
 because the extended group has no bottom element.
 
 ``MinAffine`` models pointwise minima of finitely many affine maps
-``t -> intercept + slope * t`` on the value group.  The family is closed
-under pointwise ``min`` and under adding a single affine map, which is all
-the rest of the package needs.  The module also holds the package's one
-coercion of input to an exact rational (:func:`rational`) and the lower
-convex hull shared with Newton polygons (:func:`lower_hull`).
+``t -> intercept + slope * t`` on the value group.  The module also holds
+the package's one coercion of input to an exact rational
+(:func:`rational`) and the lower convex hull shared with Newton polygons
+(:func:`lower_hull`).
 """
 
 from __future__ import annotations
@@ -58,13 +57,6 @@ class Gamma:
             self._value = Fraction(value)
         else:
             raise TypeError(f"not a rational or inf: {value!r}")
-
-    @staticmethod
-    def parse(text: str) -> "Gamma":
-        text = text.strip()
-        if text in ("inf", "+inf", "infinity"):
-            return INF
-        return Gamma(Fraction(text))
 
     @property
     def is_inf(self) -> bool:
@@ -223,17 +215,6 @@ class MinAffine:
         for (m1, b1), (m2, b2) in zip(ordered, ordered[1:]):
             pts.append((b2 - b1) / (m1 - m2))
         return pts
-
-    def min_with(self, other: "MinAffine") -> "MinAffine":
-        return MinAffine(self._terms + other._terms)
-
-    def plus_affine(self, slope: Rational, intercept: "Rational | Gamma") -> "MinAffine":
-        """Add a single affine map pointwise."""
-        g = _coerce(intercept)
-        if g.is_inf:
-            return MinAffine()
-        s, b = Fraction(slope), g.finite
-        return MinAffine([(m + s, c + b) for m, c in self._terms])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MinAffine):

@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import wraps
 from typing import Mapping, Sequence
 
-from .errors import InconsistencyError, PreconditionError
+from .errors import InconsistencyError, PreconditionError, SceneError
 from .gamma import Gamma, INF, rational
 from .polyhedra import (
     OPTIMAL,
@@ -42,6 +42,7 @@ from .polyhedra import (
     rank,
     strict_feasible,
 )
+from .spec import FLOW_LAYOUT, gamma, walk
 
 LT, EQ, GT = "<", "=", ">"
 
@@ -105,110 +106,57 @@ class CellComplex:
             missing = [name for name in self.w if name not in x]
             if missing:
                 raise PreconditionError(f"point is missing coordinates {missing}")
-            vals = [x[name] for name in self.w]
-        elif isinstance(x, Sequence) and not isinstance(x, str):
-            vals = list(x)
-            if len(vals) != self.n:
-                raise PreconditionError("point has the wrong number of coordinates")
-        else:
+            x = [x[name] for name in self.w]
+        elif not isinstance(x, Sequence) or isinstance(x, str):
             raise PreconditionError("point must be a name map or a coordinate list")
-        out = []
-        for v in vals:
-            if isinstance(v, Gamma):
-                out.append(v)
-            elif isinstance(v, str) and v in ("inf", "oo"):
-                out.append(INF)
-            else:
-                out.append(Gamma(rational(v)))
-        return tuple(out)
-
-
-def _listed(layout, key) -> Sequence:
-    """The list under ``key`` of a layout, empty when the key is absent."""
-    items = layout.get(key, ())
-    if not isinstance(items, (list, tuple)):
-        raise PreconditionError(f"{key} must be a list")
-    return items
-
-
-def _affine(layout, w) -> tuple:
-    """Parse one {'alpha': ..., 'c': ...} block to (alpha tuple, c)."""
-    if isinstance(layout, Mapping):
-        alpha_raw = layout.get("alpha", {})
-        c = rational(layout.get("c", 0))
-    elif isinstance(layout, (list, tuple)) and len(layout) == 2:
-        alpha_raw, c = layout
-        c = rational(c)
-    else:
-        raise PreconditionError("an affine block must be an {alpha, c} map or a pair")
-    if isinstance(alpha_raw, Mapping):
-        unknown = [k for k in alpha_raw if k not in w]
-        if unknown:
-            raise PreconditionError(f"unknown coordinates {unknown}")
-        alpha = tuple(rational(alpha_raw.get(name, 0)) for name in w)
-    else:
-        if not isinstance(alpha_raw, (list, tuple)) or len(alpha_raw) != len(w):
-            raise PreconditionError("alpha must be a name map or a list as long as w")
-        alpha = tuple(rational(a) for a in alpha_raw)
-    return alpha, c
+        elif len(x) != self.n:
+            raise PreconditionError("point has the wrong number of coordinates")
+        return tuple([v if isinstance(v, Gamma) else gamma(v) for v in x])
 
 
 def build_complex(layout: Mapping) -> CellComplex:
-    """Assemble a complex from coordinate names, functionals, and options.
+    """Assemble a complex from a layout in the shape of ``spec.FLOW_LAYOUT``.
 
-    ``layout`` needs "w" (coordinate names) and "h" (the distinguished
-    name); optional "functionals", "xi", "region" are lists of
-    {"alpha": ..., "c": ...} blocks (alpha a name map or a list aligned
-    with w; functional sign and region sense are alpha . x - c vs 0,
-    region meaning alpha . x >= c).  Optional "symmetry" lists
-    permutations of w as name maps; the functional list is closed under
-    the group they generate.
+    "w" names the coordinates and "h" the distinguished one; "functionals",
+    "xi" and "region" list {"alpha", "c"} blocks, alpha a name map or a list
+    aligned with w (functional sign and region sense are alpha . x - c vs 0,
+    region meaning alpha . x >= c); the functionals are closed under the
+    group the "symmetry" permutations generate.  A malformed layout raises
+    PreconditionError naming the offending path.
     """
-    w = layout.get("w", ())
-    if not isinstance(w, (list, tuple)) or not all(isinstance(n, str) for n in w):
-        raise PreconditionError("w must list distinct coordinate names")
-    w = tuple(w)
-    if not w or len(set(w)) != len(w):
-        raise PreconditionError("w must list distinct coordinate names")
-    h = layout.get("h")
-    if h not in w:
-        raise PreconditionError("h must be one of the coordinates")
-    funcs = []
-    seen = set()
-    for block in _listed(layout, "functionals"):
-        alpha, c = _affine(block, w)
+    try:
+        parts = walk(FLOW_LAYOUT, layout)
+    except SceneError as exc:
+        raise PreconditionError(str(exc)) from exc
+    return assemble_complex(parts)
+
+
+def assemble_complex(parts: Mapping) -> CellComplex:
+    """The complex of a layout already read by ``spec.FLOW_LAYOUT``."""
+    w = parts["w"]
+    funcs, seen = [], set()
+
+    def add(alpha, c) -> bool:
         key = canonical_ray(alpha + (c,))
-        if key not in seen:
-            seen.add(key)
-            funcs.append(Functional(alpha, c))
-    perms = []
-    for p in _listed(layout, "symmetry"):
-        if not (
-            isinstance(p, Mapping)
-            and set(p) == set(w)
-            and all(isinstance(v, str) for v in p.values())
-            and set(p.values()) == set(w)
-        ):
-            raise PreconditionError("symmetry entries must be permutations of w")
-        perms.append({name: p[name] for name in w})
+        if key in seen:
+            return False
+        seen.add(key)
+        funcs.append(Functional(alpha, c))
+        return True
+
+    for f in parts["functionals"]:
+        add(f["alpha"], f["c"])
     changed = True
     while changed:
         changed = False
-        for perm in perms:
-            idx = [w.index(perm[name]) for name in w]
+        for perm in parts["symmetry"]:
+            # coordinate j of a functional moves to coordinate perm[w[j]]
+            source = {perm[name]: j for j, name in enumerate(w)}
             for f in list(funcs):
-                moved = [Fraction(0)] * len(w)
-                for j, name in enumerate(w):
-                    moved[idx[j]] = f.alpha[j]
-                alpha = tuple(moved)
-                key = canonical_ray(alpha + (f.c,))
-                if key not in seen:
-                    seen.add(key)
-                    funcs.append(Functional(alpha, f.c))
-                    changed = True
-    xis = [_affine(block, w) for block in _listed(layout, "xi")]
-    region = [_affine(block, w) for block in _listed(layout, "region")]
-    return CellComplex(w, h, funcs, xis, region)
+                changed |= add(tuple(f.alpha[source[name]] for name in w), f.c)
+    xis = [(f["alpha"], f["c"]) for f in parts["xi"]]
+    region = [(f["alpha"], f["c"]) for f in parts["region"]]
+    return CellComplex(w, parts["h"], funcs, xis, region)
 
 
 def locate_cell(K: CellComplex, x) -> Cell:

@@ -2,10 +2,13 @@
 
 A scene is a JSON object carrying a "field" description and exactly one
 task block among skeleton, retract, newton, trop, flow, family, plus an
-optional "format" (json, dot, svg, csv).  Rendering is deterministic:
-object keys are sorted, rationals are printed in lowest terms, and no
-run-dependent data (timestamps, addresses, float noise) ever reaches the
-output, so re-running a scene reproduces its artifact byte for byte.
+optional "format" (json, dot, svg, csv), in the shapes that
+:mod:`berkline.spec` declares.  :func:`run_scene` reads the whole scene
+before a task runs, so the runners below only compute and render.
+Rendering is deterministic: object keys are sorted, rationals are
+printed in lowest terms, and no run-dependent data (timestamps,
+addresses, float noise) ever reaches the output, so re-running a scene
+reproduces its artifact byte for byte.
 """
 
 from __future__ import annotations
@@ -14,10 +17,10 @@ import json
 import random
 from fractions import Fraction
 
-from .errors import InconsistencyError, PreconditionError, SceneError
+from .errors import InconsistencyError, SceneError
 from .fields import field_from_json
-from .gamma import Gamma, INF, rational
-from .gflow import build_complex, cell_dimension, final_image_membership, flow
+from .gamma import Gamma, INF
+from .gflow import assemble_complex, cell_dimension, final_image_membership, flow
 from .newton import branch_events, root_valuations_along_path
 from .pline import (
     PLinePoint,
@@ -31,6 +34,7 @@ from .pline import (
     skeleton_contains,
 )
 from .polyhedra import rank
+from .spec import FORMAT, FORMATS, SCENE, TASKS, walk
 from .topo import family_sweep
 from .trop import tau_h
 
@@ -39,16 +43,11 @@ __all__ = [
     "TASKS",
     "canon_json",
     "load_scene",
-    "parse_gamma",
-    "parse_point",
     "point_json",
     "run_scene",
     "tree_dot",
     "tree_json",
 ]
-
-TASKS = ("skeleton", "retract", "newton", "trop", "flow", "family")
-FORMATS = ("json", "dot", "svg", "csv")
 
 
 def canon_json(obj) -> str:
@@ -59,35 +58,15 @@ def rat_str(x) -> str:
     return str(Fraction(x))
 
 
-def parse_rat(obj) -> Fraction:
-    try:
-        return rational(obj)
-    except PreconditionError as exc:
-        raise SceneError(str(exc)) from exc
-
-
 def gamma_json(g: Gamma) -> str:
     return "inf" if g.is_inf else rat_str(g.finite)
 
 
-def parse_gamma(obj) -> Gamma:
-    if isinstance(obj, str) and obj in ("inf", "oo"):
-        return INF
-    return Gamma(parse_rat(obj))
-
-
-def parse_point(field, obj) -> PLinePoint:
-    """A point from scene data: "inf", a field element, or a chart triple."""
-    if isinstance(obj, str) and obj in ("inf", "oo"):
-        return infinity_point(field)
-    if isinstance(obj, dict) and "chart" in obj:
-        chart = obj["chart"]
-        if chart not in ("std", "inv"):
-            raise SceneError(f"unknown chart {chart!r}")
-        center = field.elem_from_json(obj.get("center", 0))
-        radius = parse_gamma(obj.get("radius", "inf"))
-        return normalize_point(field, PLinePoint(chart, center, radius))
-    return simple_point(field, field.elem_from_json(obj))
+def _point(field, p) -> PLinePoint:
+    """The point of a value read by the spec's point kind."""
+    if isinstance(p, dict):
+        return normalize_point(field, PLinePoint(p["chart"], p["center"], p["radius"]))
+    return infinity_point(field) if isinstance(p, str) else simple_point(field, p)
 
 
 def point_json(field, p: PLinePoint) -> dict:
@@ -145,62 +124,40 @@ def tree_dot(field, tree, name: str = "skeleton") -> str:
 
 
 def load_scene(path) -> dict:
+    """The parsed JSON of a scene file; :func:`run_scene` checks its shape."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise SceneError(f"cannot read scene file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SceneError(f"scene is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise SceneError("scene must be a JSON object")
-    return data
-
-
-def scene_task(scene: dict) -> str:
-    present = [t for t in TASKS if t in scene]
-    if len(present) != 1:
-        raise SceneError(
-            f"scene needs exactly one task block, found {present if present else 'none'}"
-        )
-    return present[0]
 
 
 def run_scene(scene: dict, fmt=None, seed: int = 0, check: bool = False) -> bytes:
-    if "field" not in scene:
-        raise SceneError("scene needs a field description")
-    field = field_from_json(scene["field"])
-    task = scene_task(scene)
-    block = scene[task]
-    if not isinstance(block, dict):
-        raise SceneError(f"the {task} block must be a JSON object")
-    chosen = fmt if fmt is not None else scene.get("format", "json")
-    if chosen not in FORMATS:
-        raise SceneError(f"unknown format {chosen!r}")
-    runner = _RUNNERS[task]
-    return runner(field, block, chosen, seed, check)
+    top = walk(SCENE, scene)
+    present = [t for t in TASKS if t in scene]
+    if len(present) != 1:
+        raise SceneError(f"scene needs exactly one task block, found {present or 'none'}")
+    task = present[0]
+    field = field_from_json(top["field"])
+    chosen = top["format"] if fmt is None else walk(FORMAT, fmt, "format")
+    runner, renders = _RUNNERS[task]
+    if chosen not in renders.replace(",", "").split():
+        raise SceneError(f"{task} scenes render as {renders}")
+    args = walk(TASKS[task], scene[task], task, {"field": field})
+    return runner(field, args, chosen, seed, check).encode("utf-8")
 
 
 # --- skeleton -------------------------------------------------------------
 
 
-def _divisor_points(field, block) -> list:
-    divisor = block.get("divisor")
-    if not isinstance(divisor, list) or not divisor:
-        raise SceneError("divisor must be a nonempty list of points")
-    return [parse_point(field, d) for d in divisor]
-
-
-def _run_skeleton(field, block, fmt, seed, check) -> bytes:
-    pts = _divisor_points(field, block)
+def _run_skeleton(field, args, fmt, seed, check) -> str:
+    pts = [_point(field, p) for p in args["divisor"]]
     tree = skeleton(field, pts)
     if check:
         _check_skeleton(field, tree, pts)
-    if fmt == "json":
-        return canon_json(tree_json(field, tree)).encode("utf-8")
-    if fmt == "dot":
-        return tree_dot(field, tree).encode("utf-8")
-    raise SceneError("skeleton scenes render as json or dot")
+    return canon_json(tree_json(field, tree)) if fmt == "json" else tree_dot(field, tree)
 
 
 def _check_skeleton(field, tree, pts) -> None:
@@ -216,17 +173,13 @@ def _check_skeleton(field, tree, pts) -> None:
 # --- retract --------------------------------------------------------------
 
 
-def _run_retract(field, block, fmt, seed, check) -> bytes:
-    pts = _divisor_points(field, block)
-    if "point" not in block:
-        raise SceneError("retract block needs a point")
-    a = parse_point(field, block["point"])
+def _run_retract(field, args, fmt, seed, check) -> str:
+    pts = [_point(field, p) for p in args["divisor"]]
+    a = _point(field, args["point"])
     q = retract(field, a, pts)
     if check:
         _check_retract(field, a, q, pts, seed)
-    if fmt == "json":
-        return canon_json({"image": point_json(field, q)}).encode("utf-8")
-    raise SceneError("retract scenes render as json")
+    return canon_json({"image": point_json(field, q)})
 
 
 def _check_retract(field, a, q, pts, seed) -> None:
@@ -247,32 +200,14 @@ def _check_retract(field, a, q, pts, seed) -> None:
 # --- newton ---------------------------------------------------------------
 
 
-def _parse_bivariate(field, block) -> list:
-    coeffs = block.get("coeffs")
-    if not isinstance(coeffs, list) or not coeffs:
-        raise SceneError("newton block needs a nonempty coeffs table")
-    rows = []
-    for row in coeffs:
-        if not isinstance(row, list):
-            raise SceneError("each coeffs row must be a list")
-        rows.append([field.elem_from_json(a) for a in row])
-    return rows
-
-
-def _run_newton(field, block, fmt, seed, check) -> bytes:
-    rows = _parse_bivariate(field, block)
-    center = field.elem_from_json(block.get("center", 0))
-    profile = root_valuations_along_path(field, rows, center)
+def _run_newton(field, args, fmt, seed, check) -> str:
+    profile = root_valuations_along_path(field, args["coeffs"], args["center"])
     events = branch_events(profile)
     if check:
         _check_newton(profile, events)
     if fmt == "json":
-        return canon_json(_profile_json(profile, events)).encode("utf-8")
-    if fmt == "csv":
-        return _profile_csv(profile).encode("utf-8")
-    if fmt == "svg":
-        return _profile_svg(profile).encode("utf-8")
-    raise SceneError("newton scenes render as json, csv, or svg")
+        return canon_json(_profile_json(profile, events))
+    return _profile_csv(profile) if fmt == "csv" else _profile_svg(profile)
 
 
 def _root_json(fn, mult) -> dict:
@@ -406,39 +341,18 @@ def _check_newton(profile, events) -> None:
 # --- trop -----------------------------------------------------------------
 
 
-def _parse_trop_input(field, obj):
-    if isinstance(obj, list):
-        if len(obj) != 2:
-            raise SceneError("homogeneous coordinates must be a pair")
-        return [field.elem_from_json(a) for a in obj]
-    return parse_point(field, obj)
-
-
-def _run_trop(field, block, fmt, seed, check) -> bytes:
-    rows = block.get("map")
-    if not isinstance(rows, list) or not rows:
-        raise SceneError("trop block needs a map given as coefficient rows")
-    table = []
-    for row in rows:
-        if not isinstance(row, list):
-            raise SceneError("each map row must be a coefficient list")
-        table.append([field.elem_from_json(a) for a in row])
-    raw_points = block.get("points")
-    if not isinstance(raw_points, list) or not raw_points:
-        raise SceneError("trop block needs a nonempty points list")
-    inputs = [_parse_trop_input(field, x) for x in raw_points]
+def _run_trop(field, args, fmt, seed, check) -> str:
+    table = args["map"]
+    # homogeneous coordinates stay a pair; every other input is a point
+    inputs = [x if isinstance(x, list) else _point(field, x) for x in args["points"]]
     values = [tau_h(field, table, x) for x in inputs]
     if check:
         _check_trop(field, table, inputs, values, seed)
     if fmt == "json":
-        payload = {"values": [[gamma_json(g) for g in v.coords] for v in values]}
-        return canon_json(payload).encode("utf-8")
-    if fmt == "csv":
-        header = ",".join(f"g{i}" for i in range(len(values[0].coords)))
-        lines = [header]
-        lines += [",".join(gamma_json(g) for g in v.coords) for v in values]
-        return ("\n".join(lines) + "\n").encode("utf-8")
-    raise SceneError("trop scenes render as json or csv")
+        return canon_json({"values": [[gamma_json(g) for g in v.coords] for v in values]})
+    lines = [",".join(f"g{i}" for i in range(len(values[0].coords)))]
+    lines += [",".join(gamma_json(g) for g in v.coords) for v in values]
+    return "\n".join(lines) + "\n"
 
 
 def _check_trop(field, table, inputs, values, seed) -> None:
@@ -455,42 +369,29 @@ def _check_trop(field, table, inputs, values, seed) -> None:
 # --- flow -----------------------------------------------------------------
 
 
-def _run_flow(field, block, fmt, seed, check) -> bytes:
-    keys = ("w", "h", "functionals", "xi", "region", "symmetry")
-    layout = {k: block[k] for k in keys if k in block}
-    try:
-        K = build_complex(layout)
-        unit_h = [int(j == K.h_index) for j in range(K.n)]
-        if rank([f.alpha for f in K.functionals] + [unit_h], K.n) < K.n:
-            # a direction unseen by every functional and by h is a lineality
-            # direction of every cell, so no cell is stable
-            raise SceneError("the functionals together with h must span the coordinates")
-        if "start" not in block:
-            raise SceneError("flow block needs a start point")
-        start = K.point(block["start"])
-    except PreconditionError as exc:
-        raise SceneError(str(exc)) from exc
-    t = parse_gamma(block.get("t", "inf"))
-    if t < 0:
-        raise SceneError("flow time must be nonnegative")
+def _run_flow(field, args, fmt, seed, check) -> str:
+    K = assemble_complex(args)
+    unit_h = [int(j == K.h_index) for j in range(K.n)]
+    if rank([f.alpha for f in K.functionals] + [unit_h], K.n) < K.n:
+        # a direction unseen by every functional and by h is a lineality
+        # direction of every cell, so no cell is stable
+        raise SceneError("flow.functionals: expected functionals spanning the coordinates with h")
+    t, start = args["t"], args["start"]
     res = flow(K, t, start)
     if check:
         _check_flow(K, t, start, res, seed)
-    if fmt == "json":
-        payload = {
-            "endpoint": [gamma_json(g) for g in res.endpoint],
-            "steps": [
-                {
-                    "cell": "".join(s.cell.pattern),
-                    "duration": gamma_json(s.duration),
-                    "direction": [rat_str(d) for d in s.direction],
-                }
-                for s in res.steps
-            ],
-            "total": gamma_json(res.total_time),
-        }
-        return canon_json(payload).encode("utf-8")
-    raise SceneError("flow scenes render as json")
+    return canon_json({
+        "endpoint": [gamma_json(g) for g in res.endpoint],
+        "steps": [
+            {
+                "cell": "".join(s.cell.pattern),
+                "duration": gamma_json(s.duration),
+                "direction": [rat_str(d) for d in s.direction],
+            }
+            for s in res.steps
+        ],
+        "total": gamma_json(res.total_time),
+    })
 
 
 def _check_flow(K, t, start, res, seed) -> None:
@@ -505,92 +406,55 @@ def _check_flow(K, t, start, res, seed) -> None:
     for s in res.steps:
         if s.direction[K.h_index] != 0:
             raise InconsistencyError("flow direction moves the preserved height")
+    # a run split at an intermediate time s must end where the whole run does
     if t.is_inf:
-        s = Fraction(rng.randint(0, 40), rng.randint(1, 4))
-        two = flow(K, INF, flow(K, s, start).endpoint)
-        if two.endpoint != res.endpoint:
-            raise InconsistencyError("flow fails the semigroup law")
+        s, rest = Fraction(rng.randint(0, 40), rng.randint(1, 4)), INF
     else:
         s = t.finite * Fraction(rng.randint(0, 8), 8)
-        two = flow(K, t.finite - s, flow(K, s, start).endpoint)
-        if two.endpoint != res.endpoint:
-            raise InconsistencyError("flow fails the semigroup law")
+        rest = t.finite - s
+    if flow(K, rest, flow(K, s, start).endpoint).endpoint != res.endpoint:
+        raise InconsistencyError("flow fails the semigroup law")
 
 
 # --- family ---------------------------------------------------------------
 
 
-def _family_callable(field, divisor):
-    entries = []
-    for e in divisor:
-        if isinstance(e, str) and e in ("inf", "oo"):
-            entries.append(("inf", None))
-        elif isinstance(e, str) and e == "b":
-            entries.append(("b", None))
-        elif isinstance(e, dict) and "affine" in e:
-            aff = e["affine"]
-            if not isinstance(aff, list) or len(aff) != 2:
-                raise SceneError("affine entries need [constant, slope]")
-            c0 = field.coerce(field.elem_from_json(aff[0]))
-            c1 = field.coerce(field.elem_from_json(aff[1]))
-            entries.append(("affine", (c0, c1)))
-        else:
-            entries.append(("const", field.coerce(field.elem_from_json(e))))
+def _family_callable(divisor):
+    """b -> the divisor, from entries "inf", "b", {"affine": [c0, c1]} or constants."""
 
-    def fam(b):
-        out = []
-        for kind, data in entries:
-            if kind == "inf":
-                out.append("inf")
-            elif kind == "b":
-                out.append(b)
-            elif kind == "affine":
-                c0, c1 = data
-                out.append(c0 + c1 * b)
-            else:
-                out.append(data)
-        return out
+    def entry(e, b):
+        if isinstance(e, dict):
+            c0, c1 = e["affine"]
+            return c0 + c1 * b
+        return b if isinstance(e, str) and e == "b" else e
 
-    return fam
+    return lambda b: [entry(e, b) for e in divisor]
 
 
-def _run_family(field, block, fmt, seed, check) -> bytes:
-    divisor = block.get("divisor")
-    if not isinstance(divisor, list) or not divisor:
-        raise SceneError("family block needs a divisor template")
-    raw_samples = block.get("samples")
-    if not isinstance(raw_samples, list) or not raw_samples:
-        raise SceneError("family block needs a nonempty samples list")
-    samples = [field.coerce(field.elem_from_json(b)) for b in raw_samples]
-    fam = _family_callable(field, divisor)
+def _run_family(field, args, fmt, seed, check) -> str:
+    samples, divisor = args["samples"], args["divisor"]
+    fam = _family_callable(divisor)
     classes = family_sweep(field, fam, samples)
     if check:
         _check_family(field, fam, samples, classes, len(divisor), seed)
     if fmt == "json":
-        payload = {
+        return canon_json({
             "classes": {
                 code: [field.elem_to_json(b) for b in members]
                 for code, members in classes.items()
             }
-        }
-        return canon_json(payload).encode("utf-8")
+        })
     if fmt == "dot":
         graphs = []
         for idx, code in enumerate(sorted(classes)):
-            rep = classes[code][0]
-            pts = [
-                infinity_point(field) if isinstance(e, str) else simple_point(field, e)
-                for e in fam(rep)
-            ]
+            pts = [_point(field, e) for e in fam(classes[code][0])]
             graphs.append(tree_dot(field, skeleton(field, pts), name=f"class{idx}"))
-        return "".join(graphs).encode("utf-8")
-    if fmt == "csv":
-        lines = ["class,sample"]
-        for idx, code in enumerate(sorted(classes)):
-            for b in classes[code]:
-                lines.append(f"{idx},{_elem_str(field, b)}")
-        return ("\n".join(lines) + "\n").encode("utf-8")
-    raise SceneError("family scenes render as json, dot, or csv")
+        return "".join(graphs)
+    lines = ["class,sample"]
+    for idx, code in enumerate(sorted(classes)):
+        for b in classes[code]:
+            lines.append(f"{idx},{_elem_str(field, b)}")
+    return "\n".join(lines) + "\n"
 
 
 def _check_family(field, fam, samples, classes, width, seed) -> None:
@@ -607,11 +471,12 @@ def _check_family(field, fam, samples, classes, width, seed) -> None:
         raise InconsistencyError("family partition depends on sample order")
 
 
+# each task's runner and the formats it renders, as its refusal lists them
 _RUNNERS = {
-    "skeleton": _run_skeleton,
-    "retract": _run_retract,
-    "newton": _run_newton,
-    "trop": _run_trop,
-    "flow": _run_flow,
-    "family": _run_family,
+    "skeleton": (_run_skeleton, "json or dot"),
+    "retract": (_run_retract, "json"),
+    "newton": (_run_newton, "json, csv, or svg"),
+    "trop": (_run_trop, "json or csv"),
+    "flow": (_run_flow, "json"),
+    "family": (_run_family, "json, dot, or csv"),
 }

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .gamma import INF
 from .pline import PLinePoint, infinity_point, simple_point, skeleton
+from .spec import INF_WORDS
 
 __all__ = [
     "Fingerprint",
@@ -141,7 +142,7 @@ def tree_iso(t1, t2, strict: bool = False) -> bool:
 def _to_point(field, entry) -> PLinePoint:
     if isinstance(entry, PLinePoint):
         return entry
-    if entry is INF or (isinstance(entry, str) and entry in ("inf", "oo")):
+    if entry is INF or (isinstance(entry, str) and entry in INF_WORDS):
         return infinity_point(field)
     return simple_point(field, entry)
 

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -118,7 +119,7 @@ def test_bundled_scene_bytes_match_golden(scene):
                     run_scene(body, fmt=fmt, check=check)
 
 
-FUZZ_TASKS = ("skeleton", "retract", "newton", "trop", "family")
+FUZZ_TASKS = ("skeleton", "retract", "newton", "trop", "flow", "family")
 FUZZ_SCENES = [
     body
     for body in (json.loads(p.read_text()) for p in sorted(SCENES.glob("*.json")))
@@ -136,6 +137,14 @@ def entries(node):
             yield from entries(value)
 
 
+def assert_names_path(exc, body):
+    # a scene error starts with the path of the offending value, rooted at
+    # a top-level key of the scene: "flow.functionals[1].alpha.a: ..."
+    message = str(exc)
+    root = re.match(r"[^.\[:]*", message).group(0)
+    assert root in body and message[len(root)] in ".[:", message
+
+
 @settings(max_examples=500, deadline=None)
 @given(st.data())
 def test_scene_fuzz_fails_only_as_scene_or_precondition_error(data):
@@ -148,9 +157,26 @@ def test_scene_fuzz_fails_only_as_scene_or_precondition_error(data):
     node[key] = data.draw(st.sampled_from(FUZZ_VALUES))
     try:
         out = run_scene(body, check=data.draw(st.booleans()))
-    except (SceneError, PreconditionError):
+    except SceneError as exc:
+        assert_names_path(exc, body)
+        return
+    except PreconditionError:
         return
     assert isinstance(out, bytes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_scene_fuzz_renamed_key_is_a_scene_error(data):
+    # renaming one key of any object, the top level included, leaves a key
+    # that no spec knows
+    body = json.loads(json.dumps(data.draw(st.sampled_from(FUZZ_SCENES))))
+    keyed = [(node, key) for node, key in entries(body) if isinstance(node, dict)]
+    node, key = data.draw(st.sampled_from(keyed))
+    node[key + data.draw(st.sampled_from(["_", "x", "s"]))] = node.pop(key)
+    with pytest.raises(SceneError) as info:
+        run_scene(body)
+    assert_names_path(info.value, body)
 
 
 @pytest.mark.parametrize("t", ["0", "1", "3/2"])
@@ -210,6 +236,68 @@ def test_two_task_blocks_exit_one(tmp_path):
 def test_missing_scene_file_exits_one(tmp_path):
     res = run_cli("--scene", str(tmp_path / "absent.json"))
     assert res.returncode == 1
+
+
+def test_non_utf8_scene_file_exits_one(tmp_path):
+    path = tmp_path / "scene.json"
+    path.write_bytes(b"\xff\xfe")
+    res = run_cli("--scene", str(path))
+    assert res.returncode == 1
+    assert "scene error" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_out_into_missing_directory_exits_one(tmp_path):
+    res = run_cli(
+        "--scene", str(SCENES / "flow_plane.json"), "--out", str(tmp_path / "absent" / "out.json")
+    )
+    assert res.returncode == 1
+    assert "cannot write output" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_huge_p_exits_one(tmp_path):
+    path = write_scene(
+        tmp_path,
+        {"field": {"kind": "padic", "p": 10**400 + 1}, "skeleton": {"divisor": ["0", "inf"]}},
+    )
+    res = run_cli("--scene", path)
+    assert res.returncode == 1
+    assert "field.p:" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize(
+    "body, path",
+    [
+        # a bool is not a rational, so it is no field element either
+        ({"skeleton": {"divisor": [True, "inf"]}}, "skeleton.divisor[0]: expected a point"),
+        # misspelled keys are rejected, not ignored
+        ({"newton": {"coeffs": [["0", "1"], ["1"]], "centre": "3"}}, "newton.centre: unknown key"),
+        (
+            {"flow": {"w": ["a", "h"], "h": "h", "functionals": [{"alpha": {"a": 1}}],
+                      "regon": [{"alpha": {"a": 1}}], "start": ["-1", "2"]}},
+            "flow.regon: unknown key",
+        ),
+        (
+            {"flow": {"w": ["a", "h"], "h": "h", "functionals": [{"alpha": {"a": 1}}, {"alpha": {"a": "1/0"}}],
+                      "start": ["0", "0"]}},
+            "flow.functionals[1].alpha.a: expected a rational",
+        ),
+        ({"retract": {"divisor": ["0", "inf"]}}, "retract.point: missing required key"),
+        ({"trop": {"map": [["1"]], "points": [["1", "2", "3"]]}}, "trop.points[0]: expected a list of 2"),
+        ({"family": {"divisor": [{"affine": ["1"]}], "samples": ["1"]}}, "family.divisor[0].affine:"),
+        ({"skeleton": {"divisor": [{"chart": "std", "center": "0", "radius": "x"}]}},
+         "skeleton.divisor[0].radius: expected a rational or inf"),
+    ],
+    ids=["bool-entry", "newton-centre", "flow-regon", "alpha-zero-denominator", "missing-point",
+         "trop-triple", "affine-single", "bad-radius"],
+)
+def test_malformed_scene_names_its_path(tmp_path, body, path):
+    path_file = write_scene(tmp_path, {"field": {"kind": "padic", "p": 5}, **body})
+    res = run_cli("--scene", path_file)
+    assert res.returncode == 1
+    assert res.stderr.startswith(f"scene error: {path}"), res.stderr
 
 
 def test_unsupported_format_exits_one(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from berkline.errors import PreconditionError
-from berkline.fields import PAdicField, RatFunc, TAdicField, field_from_json
+from berkline.fields import PAdicField, RatFunc, TAdicField, _is_prime, field_from_json
 from berkline.gamma import INF, Gamma
 from berkline.polys import (
     poly_add,
@@ -47,8 +47,36 @@ def test_padic_prime_check():
         PAdicField(6)
     with pytest.raises(ValueError):
         PAdicField(1)
+    with pytest.raises(ValueError):
+        PAdicField(10**400 + 1)  # above the exact range of the primality test
     PAdicField(2)
     PAdicField(97)
+    PAdicField(2**61 - 1)  # trial division up to its square root takes minutes
+
+
+def test_primality_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(3000) if _is_prime(n)] == [n for n in range(3000) if trial(n)]
+    # strong pseudoprimes to the bases 2..7 and 2..23, and Carmichael numbers
+    for n in (3215031751, 3825123056546413051, 561, 41041, 2**61 + 1, 2**67 - 1):
+        assert not _is_prime(n)
+    for n in (10**9 + 7, 2**31 - 1, 2**61 - 1):
+        assert _is_prime(n)
+
+
+def test_field_literals_are_exact_rationals():
+    # one rational coercion: a bool is not a field element
+    for field in (Q5, QT):
+        with pytest.raises(PreconditionError):
+            field.elem_from_json(True)
+        with pytest.raises(PreconditionError):
+            field.elem_from_json("1/0")
+    with pytest.raises(PreconditionError):
+        QT.elem_from_json({"num": ["1"], "den": ["0"]})
+    with pytest.raises(PreconditionError):
+        QT.elem_from_json({"num": "12"})
 
 
 @given(nonzero_rationals, nonzero_rationals)

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -86,6 +87,21 @@ def test_build_validation():
         build_complex({"w": ["a", "a"], "h": "a"})
     with pytest.raises(PreconditionError):
         build_complex({"w": ["a"], "h": "a", "functionals": [{"alpha": {"z": 1}, "c": 0}]})
+
+
+@pytest.mark.parametrize(
+    "layout, message",
+    [
+        ({"w": ["a", "h"], "h": "h", "functionals": [{"alpha": {"z": 1}}]},
+         "functionals[0].alpha.z: unknown coordinate"),
+        ({"w": ["a", "h"], "h": "h", "xi": [{"alpha": ["1"]}]}, "xi[0].alpha: expected a list of 2"),
+        ({"w": ["a", "h"], "h": "h", "regon": []}, "regon: unknown key"),
+        ({"w": ["a", "h"], "h": "h", "symmetry": [{"a": "a"}]}, "symmetry[0]: expected a permutation"),
+    ],
+)
+def test_build_errors_name_the_layout_path(layout, message):
+    with pytest.raises(PreconditionError, match=re.escape(message)):
+        build_complex(layout)
 
 
 def test_symmetry_closure():
