@@ -12,12 +12,13 @@ with x_h = infinity never move.
 All geometry is exact: feasibility and suprema run through the rational
 simplex in polyhedra, recession cones through exact ray enumeration
 over the rank-sized subsets of their rows, the only ones that pin a ray.
-The continuation rule composes steps as x - tau * e_C and restarts in
-the boundary cell reached at the exit time; cell dimensions strictly
-decrease at each crossing, so runs terminate, and the two situations the
-construction cannot produce (a flow direction that leaves its cell's
-affine hull, and an unbounded recession slice on an unstable cell) stop
-the run with an inconsistency error instead of guessing.  The flow needs
+Steps compose as x - tau * e_C and restart in the cell cut out by the
+functionals binding at the exit time tau, which is 0 for a direction
+leaving its cell's affine hull; cell dimensions strictly decrease at
+each crossing, so runs terminate, and the two situations the
+construction cannot produce (a zero exit time, and an unbounded
+recession slice on an unstable cell) stop the run with an inconsistency
+error instead of guessing.  The flow needs
 the functionals' alphas together with e_h to span Q^w: otherwise a
 direction all of them miss is a lineality direction of every cell, no
 cell is stable, and every flow at finite height stops with that error.
@@ -42,7 +43,7 @@ from .polyhedra import (
     rank,
     strict_feasible,
 )
-from .spec import FLOW_LAYOUT, gamma, walk
+from .spec import FLOW_LAYOUT, GAMMA_POINT, walk
 
 LT, EQ, GT = "<", "=", ">"
 
@@ -101,17 +102,11 @@ class CellComplex:
         self._memo = {}
 
     def point(self, x) -> tuple:
-        """Coerce a mapping or sequence to a coordinate tuple of Gamma."""
-        if isinstance(x, Mapping):
-            missing = [name for name in self.w if name not in x]
-            if missing:
-                raise PreconditionError(f"point is missing coordinates {missing}")
-            x = [x[name] for name in self.w]
-        elif not isinstance(x, Sequence) or isinstance(x, str):
-            raise PreconditionError("point must be a name map or a coordinate list")
-        elif len(x) != self.n:
-            raise PreconditionError("point has the wrong number of coordinates")
-        return tuple([v if isinstance(v, Gamma) else gamma(v) for v in x])
+        """A name map over w, or a list or tuple aligned with w, as Gamma values."""
+        try:
+            return walk(GAMMA_POINT, x, "point", {"w": self.w})
+        except SceneError as exc:
+            raise PreconditionError(str(exc)) from exc
 
 
 def build_complex(layout: Mapping) -> CellComplex:
@@ -284,21 +279,31 @@ def recession_barycenter(K: CellComplex, cell: Cell) -> tuple:
 
 
 def exit_time(K: CellComplex, cell: Cell, e: Sequence, x) -> Gamma:
-    """First time x - t*e leaves the cell; infinite when it never does."""
+    """First time x - t*e leaves the cell: 0 when e leaves the cell's affine
+    hull, infinite when the point never leaves."""
     coords = _finite_coords(K, x)
     if locate_cell(K, coords) != cell:
         raise PreconditionError("point does not lie in the given cell")
     if all(v == 0 for v in e):
         raise PreconditionError("exit time needs a nonzero direction")
-    best = INF
-    _, gts = _cell_constraints(K, cell)
-    for alpha, rhs in gts:
-        ae = dot(alpha, e)
-        if ae > 0:
-            t = Gamma((dot(alpha, coords) - rhs) / ae)
-            if t < best:
-                best = t
-    return best
+    return _exit(K, cell, e, coords)[0]
+
+
+def _exit(K: CellComplex, cell: Cell, e: Sequence, coords: tuple) -> tuple:
+    """(tau, cell entered at tau) for x - t*e from a point of the cell: tau is
+    the least f(x) / (alpha . e) over the functionals moving toward zero, so
+    an = sign with alpha . e != 0 gives 0, and at tau the strict signs whose
+    functionals reach zero become = while every other sign stays."""
+    hits = {}
+    for i, (f, s) in enumerate(zip(K.functionals, cell.pattern)):
+        ae = dot(f.alpha, e)
+        if (ae > 0 and s != LT) or (ae < 0 and s != GT):
+            hits[i] = (dot(f.alpha, coords) - f.c) / ae
+    if not hits:
+        return INF, cell
+    tau = min(hits.values())
+    pattern = tuple(EQ if hits.get(i) == tau else s for i, s in enumerate(cell.pattern))
+    return Gamma(tau), Cell(pattern)
 
 
 def flow(K: CellComplex, t, x) -> FlowResult:
@@ -315,33 +320,27 @@ def flow(K: CellComplex, t, x) -> FlowResult:
     steps = []
     remaining = t
     prev_dim = None
+    cell = locate_cell(K, coords)
     while True:
-        cell = locate_cell(K, coords)
         dim = cell_dimension(K, cell)
         if prev_dim is not None and dim >= prev_dim:
-            raise InconsistencyError(
-                "flow re-entered a cell of equal or higher dimension"
-            )
+            raise InconsistencyError("flow re-entered a cell of equal or higher dimension")
         prev_dim = dim
         if classify_D0(K, cell):
             break
         e = recession_barycenter(K, cell)
-        eqs, _ = _cell_constraints(K, cell)
-        if any(dot(alpha, e) != 0 for alpha, _ in eqs):
-            raise InconsistencyError(
-                "flow direction leaves the cell's affine hull"
-            )
-        tau = exit_time(K, cell, e, coords)
+        tau, entered = _exit(K, cell, e, coords)
+        if tau == 0:
+            raise InconsistencyError("flow direction leaves the cell's affine hull")
         if remaining.is_inf and tau.is_inf:
-            raise InconsistencyError(
-                "trajectory never reaches the stable set"
-            )
+            raise InconsistencyError("trajectory never reaches the stable set")
         dt = tau if tau < remaining else remaining
         coords = tuple(c - dt.finite * ei for c, ei in zip(coords, e))
         steps.append(FlowStep(dt, cell, e))
         if remaining <= tau:
             break
         remaining = remaining - dt
+        cell = entered
     endpoint = tuple(Gamma(c) for c in coords)
     return FlowResult(tuple(steps), endpoint)
 

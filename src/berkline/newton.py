@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import isqrt
 from typing import Sequence
 
 from .errors import PreconditionError
@@ -203,7 +204,7 @@ def quadratic_residual_square(field, F: Sequence, center, t) -> bool:
     rows = _bivariate(field, F)
     if len(rows) - 1 != 2:
         raise PreconditionError("residual square test needs y-degree exactly 2")
-    if getattr(field, "p", 0) == 2:
+    if field.residue_char == 2:
         raise PreconditionError("residual square test needs odd residue characteristic")
     t = t if isinstance(t, Gamma) else Gamma(t)
     if t.is_inf or t.finite.denominator != 1:
@@ -229,58 +230,31 @@ def quadratic_residual_square(field, F: Sequence, center, t) -> bool:
 
 
 def _residue_poly_is_square(field, h: list) -> bool:
-    """Exact square test in k[u] for k the residue field (odd or zero char)."""
-    p = getattr(field, "p", 0)
-    if not h:
+    """Exact square test in k[u] for k the residue field (odd or zero char):
+    h is a nonzero square exactly when its leading coefficient is one and
+    h divided by it is the square of a monic polynomial."""
+    p = field.residue_char
+    if not h or len(h) % 2 == 0:
         return False
-    if len(h) % 2 == 0:
-        return False
-    half = (len(h) - 1) // 2
     lead = h[-1]
-    top = _residue_sqrt(p, lead)
-    if top is None:
+    if p:
+        # Euler's criterion on num * den, a square exactly when num / den is
+        if pow(lead.numerator * lead.denominator, (p - 1) // 2, p) != 1:
+            return False
+    elif lead <= 0 or any(isqrt(n) ** 2 != n for n in (lead.numerator, lead.denominator)):
         return False
-    s = [Fraction(0)] * half + [top]
+    monic = [_residue_div(p, a, lead) for a in h]
+    half = (len(h) - 1) // 2
+    # the monic root s, from the top coefficients down: the u^(half + i)
+    # coefficient of s^2 is 2 s_i plus products of s_(i+1..half-1)
+    s = [Fraction(0)] * half + [Fraction(1)]
     for i in range(half - 1, -1, -1):
-        acc = Fraction(0)
-        for a in range(i + 1, half):
-            b = half + i - a
-            if b > half:
-                continue
-            acc += s[a] * s[b]
-        num = h[half + i] - acc
-        s[i] = _residue_div(p, num, 2 * top)
-    square = poly_mul(s, s)
-    diff = poly_sub(square, h)
+        acc = sum((s[a] * s[half + i - a] for a in range(i + 1, half)), Fraction(0))
+        s[i] = _residue_div(p, monic[half + i] - acc, Fraction(2))
+    diff = poly_sub(poly_mul(s, s), monic)
     if p:
         return all(x.numerator % p == 0 for x in diff)
     return not trim(diff)
-
-
-def _residue_sqrt(p: int, a: Fraction):
-    """Square root in F_p (p odd) or Q; None when a is not a nonzero square."""
-    if p:
-        r = a.numerator * pow(a.denominator, -1, p) % p
-        if r == 0:
-            return None
-        for s in range(1, p):
-            if s * s % p == r:
-                return Fraction(s)
-        return None
-    if a <= 0:
-        return None
-    n, d = a.numerator, a.denominator
-    rn, rd = _isqrt_exact(n), _isqrt_exact(d)
-    if rn is None or rd is None:
-        return None
-    return Fraction(rn, rd)
-
-
-def _isqrt_exact(n: int):
-    from math import isqrt
-
-    r = isqrt(n)
-    return r if r * r == n else None
 
 
 def _residue_div(p: int, a: Fraction, b: Fraction) -> Fraction:

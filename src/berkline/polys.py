@@ -12,7 +12,8 @@ from typing import Sequence
 
 from .errors import PreconditionError
 
-DEFAULT_DEGREE_CAP = 64
+# the largest degree taylor_shift accepts; it guards scene input
+DEGREE_CAP = 64
 
 
 def trim(coeffs: Sequence) -> Sequence:
@@ -95,16 +96,14 @@ def poly_eval(a: Sequence, x):
     return acc
 
 
-def taylor_shift(coeffs: Sequence, c, max_degree: int = DEFAULT_DEGREE_CAP) -> list:
+def taylor_shift(coeffs: Sequence, c) -> list:
     """Coefficients a_i with f(x) = sum a_i (x - c)^i, exactly.
 
     Runs repeated synthetic division by (x - c); O(d^2) ring operations.
     """
     work = trim(coeffs)
-    if len(work) - 1 > max_degree:
-        raise PreconditionError(
-            f"polynomial degree {len(work) - 1} exceeds cap {max_degree}"
-        )
+    if len(work) - 1 > DEGREE_CAP:
+        raise PreconditionError(f"polynomial degree {len(work) - 1} exceeds cap {DEGREE_CAP}")
     out = []
     while work:
         if len(work) == 1:

@@ -16,7 +16,7 @@ from collections.abc import Mapping
 from .errors import PreconditionError, SceneError
 from .gamma import INF, Gamma, rational
 
-__all__ = ["FIELD", "FLOW_LAYOUT", "FORMAT", "FORMATS", "INF_WORDS", "SCENE", "TASKS", "walk"]
+__all__ = ["FIELD", "FLOW_LAYOUT", "FORMAT", "FORMATS", "GAMMA_POINT", "INF_WORDS", "SCENE", "TASKS", "walk"]
 
 INF_WORDS = ("inf", "oo")
 FORMATS = ("json", "dot", "svg", "csv")
@@ -114,7 +114,9 @@ def choice(expected: str, *options):
 
 
 def gamma(v, ctx=None) -> Gamma:
-    """An element of Gamma: a rational, or inf spelled as one of INF_WORDS."""
+    """An element of Gamma: a Gamma as it is, a rational, or inf spelled as one of INF_WORDS."""
+    if isinstance(v, Gamma):
+        return v
     return INF if isinstance(v, str) and v in INF_WORDS else Gamma(rational(v))
 
 
@@ -141,6 +143,7 @@ def _permutes_w(v, ctx) -> bool:
 
 RATIONAL = leaf("a rational", lambda v, ctx: rational(v))
 GAMMA = leaf("a rational or inf", gamma)
+GAMMA_POINT = coords(GAMMA)  # a flow scene's start and the input of CellComplex.point
 ELEM = leaf("a field element", _elem_or())
 ANY = leaf("any value")
 # a point is "inf", a field element (a simple point) or a ball object
@@ -178,7 +181,7 @@ TASKS = {
         "a point", (lambda v: isinstance(v, (list, tuple)), seq(ELEM, size=2)), BALL, POINT
     ), nonempty=True)}),
     "flow": obj(
-        {**FLOW_LAYOUT.required, "start": coords(GAMMA)},
+        {**FLOW_LAYOUT.required, "start": GAMMA_POINT},
         {**FLOW_LAYOUT.optional, "t": (
             leaf("a nonnegative rational or inf", gamma, lambda v, ctx: gamma(v) >= 0), "inf"
         )},

@@ -7,10 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from berkline import gflow
 from berkline.errors import InconsistencyError, PreconditionError
-from berkline.gamma import Gamma, INF
+from berkline.gamma import Gamma, INF, rational
 from berkline.gflow import (
     Cell,
+    FlowResult,
+    FlowStep,
     _cell_constraints,
+    _finite_coords,
     _m_bound,
     build_complex,
     cell_dimension,
@@ -25,7 +28,7 @@ from berkline.gflow import (
     recession_barycenter,
     xi_value,
 )
-from berkline.polyhedra import OPTIMAL, UNBOUNDED, lp_max, strict_feasible
+from berkline.polyhedra import OPTIMAL, UNBOUNDED, dot, lp_max, strict_feasible
 from test_acceptance import _gflow_layout
 
 
@@ -178,6 +181,34 @@ def test_exit_time_example():
         exit_time(K, cell, e, [1, 5])
     with pytest.raises(PreconditionError):
         exit_time(K, cell, (fr(0), fr(0)), [3, 1])
+    # a direction off the affine hull of an = cell leaves it at once:
+    # (1, 1) - t * (1, 0) already lies in the cell ('<', '>', '>')
+    edge = locate_cell(K, [1, 1])
+    assert edge.pattern == ("=", ">", ">")
+    assert locate_cell(K, [Fraction(1, 2), 1]).pattern == ("<", ">", ">")
+    assert exit_time(K, edge, (fr(1), fr(0)), [1, 1]) == Gamma(0)
+    assert exit_time(K, edge, (fr(1), fr(1)), [1, 1]) == Gamma(1)
+
+
+def test_point_reads_the_coordinate_spec():
+    K = PLANE
+    want = (Gamma(3), Gamma(1))
+    assert K.point([3, 1]) == want
+    assert K.point((Fraction(3), "1")) == want
+    assert K.point({"a": "3", "h": 1}) == want
+    assert K.point(flow(K, Fraction(1, 2), [3, 1]).endpoint) == (Gamma(Fraction(5, 2)), Gamma(1))
+    assert K.point(["inf", 1]) == (INF, Gamma(1))
+    for x, message in [
+        ({"a": 3, "h": 1, "z": 0}, "point.z: unknown coordinate"),
+        ({"a": 3}, "point.h: expected a rational or inf"),
+        ([3, "x"], "point[1]: expected a rational or inf"),
+        ([3, True], "point[1]: expected a rational or inf"),
+        ([3], "point: expected a list of 2 entries"),
+        ("31", "point: expected a list of 2 entries"),
+        (range(2), "point: expected a list of 2 entries"),
+    ]:
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            K.point(x)
 
 
 def test_flow_running_example():
@@ -464,3 +495,100 @@ def test_core_bounds_matches_all_active_oracle():
         assert _outcome(core_bounds, K) == want, layout
         seen[want if want is PreconditionError else n] += 1
     assert min(seen.values()) >= 5, seen
+
+
+def flow_relocating(K, t, x) -> FlowResult:
+    """flow before steps carried their cell, kept as an oracle: every step
+    relocates its point and checks the affine hull on its own."""
+    t = t if isinstance(t, Gamma) else Gamma(rational(t))
+    if t < 0:
+        raise PreconditionError("flow time must be nonnegative")
+    pt = K.point(x)
+    if pt[K.h_index].is_inf:
+        return FlowResult((), pt)
+    coords = _finite_coords(K, pt)
+    if K.region and not all(dot(a, coords) >= c for a, c in K.region):
+        raise PreconditionError("start point lies outside the region")
+    steps = []
+    remaining = t
+    prev_dim = None
+    while True:
+        cell = locate_cell(K, coords)
+        dim = cell_dimension(K, cell)
+        if prev_dim is not None and dim >= prev_dim:
+            raise InconsistencyError(
+                "flow re-entered a cell of equal or higher dimension"
+            )
+        prev_dim = dim
+        if classify_D0(K, cell):
+            break
+        e = recession_barycenter(K, cell)
+        eqs, _ = _cell_constraints(K, cell)
+        if any(dot(alpha, e) != 0 for alpha, _ in eqs):
+            raise InconsistencyError(
+                "flow direction leaves the cell's affine hull"
+            )
+        tau = exit_time(K, cell, e, coords)
+        if remaining.is_inf and tau.is_inf:
+            raise InconsistencyError(
+                "trajectory never reaches the stable set"
+            )
+        dt = tau if tau < remaining else remaining
+        coords = tuple(c - dt.finite * ei for c, ei in zip(coords, e))
+        steps.append(FlowStep(dt, cell, e))
+        if remaining <= tau:
+            break
+        remaining = remaining - dt
+    endpoint = tuple(Gamma(c) for c in coords)
+    return FlowResult(tuple(steps), endpoint)
+
+
+def _flow_outcome(fn, K, t, x):
+    try:
+        return fn(K, t, x)
+    except (InconsistencyError, PreconditionError) as exc:
+        return type(exc), str(exc)
+
+
+def test_flow_matches_relocating_oracle():
+    # complexes shaped like small_complexes, and acceptance-shape ones with
+    # their region, from which runs cross two or more cells more often
+    rng = random.Random(1212)
+    seen = {"error": 0, "stop": 0, "one step": 0, "two or more steps": 0}
+    for k in range(240):
+        if k % 2:
+            n = rng.randint(2, 3)
+            blocks = [
+                {"alpha": [rng.randint(-2, 2) for _ in range(n)], "c": rng.randint(-1, 1)}
+                for _ in range(rng.randint(1, 3))
+            ]
+            K = build_complex({"w": ["a", "b", "h"][-n:], "h": "h", "functionals": blocks})
+            lo = -8
+        else:
+            n = rng.randint(2, 4)
+            K = build_complex(_gflow_layout(rng, n, rng.randint(0, (2, 4, 3)[n - 2])))
+            lo = 0
+        for _ in range(4):
+            x = [Fraction(rng.randint(lo, 8), rng.choice((1, 2))) for _ in range(n)]
+            t = INF if rng.random() < 0.5 else Fraction(rng.randint(0, 10), rng.choice((1, 2)))
+            want = _flow_outcome(flow_relocating, K, t, x)
+            assert _flow_outcome(flow, K, t, x) == want, (K.functionals, t, x)
+            if not isinstance(want, FlowResult):
+                seen["error"] += 1
+            else:
+                seen[("stop", "one step", "two or more steps")[min(len(want.steps), 2)]] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_flow_locates_only_its_start(monkeypatch):
+    calls = []
+    real = gflow.locate_cell
+
+    def counting(K, x):
+        calls.append(x)
+        return real(K, x)
+
+    monkeypatch.setattr(gflow, "locate_cell", counting)
+    res = flow(three(), INF, [2, 3, 0])
+    assert len(res.steps) == 2
+    assert len(calls) == 1

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from berkline.gamma import INF, Gamma, MinAffine
 from berkline.newton import (
     NewtonPolygon,
     RootProfile,
+    _residue_poly_is_square,
     branch_events,
     coeff_val_path,
     newton_polygon,
@@ -16,7 +18,7 @@ from berkline.newton import (
     root_valuations_along_path,
 )
 from berkline.pline import PLinePoint, STD, gauss_val
-from berkline.polys import poly_mul, poly_neg, poly_sub, trim
+from berkline.polys import DEGREE_CAP, poly_mul, poly_neg, poly_sub, taylor_shift, trim
 
 Q5 = PAdicField(5)
 QT = TAdicField()
@@ -222,6 +224,112 @@ def test_quadratic_residual_square():
         quadratic_residual_square(Q5, split, 0, Fraction(1, 2))
     with pytest.raises(PreconditionError):
         quadratic_residual_square(Q5, [F(1), F(1)], 0, 0)
+
+
+def test_quadratic_residual_square_large_p():
+    # the residual of y^2 - a at t = 0 is the constant 4a; 3 is not a
+    # square modulo the prime 2^61 - 1, which is 3 mod 4 and 1 mod 3
+    big = PAdicField(2**61 - 1)
+    assert quadratic_residual_square(big, [F(-3), [], F(1)], 0, 0) is False
+    assert quadratic_residual_square(big, [F(-4), [], F(1)], 0, 0) is True
+
+
+def oracle_residue_poly_is_square(field, h: list) -> bool:
+    """The square test before Euler's criterion, kept as an oracle: a
+    square root of the leading coefficient by search, then the full root."""
+    p = getattr(field, "p", 0)
+    if not h:
+        return False
+    if len(h) % 2 == 0:
+        return False
+    half = (len(h) - 1) // 2
+    lead = h[-1]
+    top = _residue_sqrt(p, lead)
+    if top is None:
+        return False
+    s = [Fraction(0)] * half + [top]
+    for i in range(half - 1, -1, -1):
+        acc = Fraction(0)
+        for a in range(i + 1, half):
+            b = half + i - a
+            if b > half:
+                continue
+            acc += s[a] * s[b]
+        num = h[half + i] - acc
+        s[i] = _residue_div(p, num, 2 * top)
+    square = poly_mul(s, s)
+    diff = poly_sub(square, h)
+    if p:
+        return all(x.numerator % p == 0 for x in diff)
+    return not trim(diff)
+
+
+def _residue_sqrt(p: int, a: Fraction):
+    """Square root in F_p (p odd) or Q; None when a is not a nonzero square."""
+    if p:
+        r = a.numerator * pow(a.denominator, -1, p) % p
+        if r == 0:
+            return None
+        for s in range(1, p):
+            if s * s % p == r:
+                return Fraction(s)
+        return None
+    if a <= 0:
+        return None
+    n, d = a.numerator, a.denominator
+    rn, rd = _isqrt_exact(n), _isqrt_exact(d)
+    if rn is None or rd is None:
+        return None
+    return Fraction(rn, rd)
+
+
+def _isqrt_exact(n: int):
+    from math import isqrt
+
+    r = isqrt(n)
+    return r if r * r == n else None
+
+
+def _residue_div(p: int, a: Fraction, b: Fraction) -> Fraction:
+    if p:
+        bn = b.numerator * pow(b.denominator, -1, p) % p
+        an = a.numerator * pow(a.denominator, -1, p) % p
+        return Fraction(an * pow(bn, -1, p) % p)
+    return a / b
+
+
+def test_residue_square_matches_search_oracle():
+    # residual polynomials over F_p as integers in [0, p) with a nonzero
+    # lead, over Q as small fractions; half of them c * g^2, mostly squares
+    rng = random.Random(4242)
+    fields = [PAdicField(p) for p in (3, 5, 7, 11, 13)] + [QT]
+    seen = {True: 0, False: 0}
+    for k in range(3000):
+        field = fields[k % len(fields)]
+        p = field.residue_char
+
+        def entry():
+            return Fraction(rng.randrange(p)) if p else Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+
+        if k % 2:
+            g = [entry() for _ in range(rng.randint(1, 3))] + [Fraction(rng.randint(1, 4))]
+            c = Fraction(rng.choice((1, 4, 9, 2, 3))) if p == 0 else Fraction(rng.randrange(1, p))
+            h = [c * x for x in poly_mul(g, g)]
+            if p:
+                h = [Fraction(x.numerator % p) for x in h]
+        else:
+            h = [entry() for _ in range(rng.randint(0, 6))]
+        h = trim(h)
+        want = oracle_residue_poly_is_square(field, h)
+        assert _residue_poly_is_square(field, h) is want, (p, h)
+        seen[want] += 1
+    assert min(seen.values()) >= 500, seen
+
+
+def test_taylor_shift_degree_cap():
+    assert len(taylor_shift([Fraction(1)] * (DEGREE_CAP + 1), 1)) == DEGREE_CAP + 1
+    with pytest.raises(PreconditionError, match="exceeds cap"):
+        taylor_shift([Fraction(1)] * (DEGREE_CAP + 2), 1)
 
 
 def test_quadratic_residual_square_tadic():
