@@ -7,8 +7,10 @@ p-adic elements are plain ``Fraction`` objects; t-adic elements are
 denominator, so equality is structural and values hash.
 
 Both fields expose the same small surface: ``coerce``, ``val``,
-``truncate`` (canonical expansion below a cut level), residue-field
-helpers, and JSON round-tripping for scene files.
+``truncate`` (the expansion below a cut level, in closed form: p^v (u mod
+p^m) for v = val(a), u = a / p^v and m = ceil(level) - v in Q_p, the
+Laurent terms a_i t^i with i < level in Q(t)), residue-field helpers, and
+JSON round-tripping for scene files.
 """
 
 from __future__ import annotations
@@ -248,26 +250,23 @@ class PAdicField:
         return (num * pow(den, -1, self.p)) % self.p
 
     def truncate(self, a, level: "Gamma | Rational") -> Fraction:
-        """Canonical digit expansion of ``a`` below ``level``.
+        """Canonical digit expansion of ``a`` below ``level``: p^v (u mod p^m)
+        for v = val(a), u = a / p^v and m = ceil(level) - v, or 0 if m <= 0.
 
         The result r is the unique finite digit sum with val(a - r) >= level,
         so centers of equal balls truncate identically.
         """
         a = self.coerce(a)
         level = level if isinstance(level, Gamma) else Gamma(level)
-        if level.is_inf:
+        if a == 0 or level.is_inf:
             return a
-        out = Fraction(0)
-        work = a
-        while work != 0:
-            i = _int_val(work.numerator, self.p) - _int_val(work.denominator, self.p)
-            if i >= level.finite:
-                break
-            digit = self.residue(work / Fraction(self.p) ** i)
-            term = Fraction(digit) * Fraction(self.p) ** i
-            out += term
-            work -= term
-        return out
+        v = int(self.val(a).finite)
+        m = math.ceil(level.finite) - v
+        if m <= 0:
+            return Fraction(0)
+        pv, mod = Fraction(self.p) ** v, self.p**m
+        u = a / pv
+        return u.numerator * pow(u.denominator, -1, mod) % mod * pv
 
     def elem_to_json(self, a) -> str:
         return str(self.coerce(a))
@@ -335,22 +334,13 @@ class TAdicField:
         level = level if isinstance(level, Gamma) else Gamma(level)
         if level.is_inf:
             return a
-        cut = math.ceil(level.finite)
-        coeffs = a.series(cut)
-        coeffs = {i: c for i, c in coeffs.items() if Fraction(i) < level.finite}
-        if not coeffs:
-            return RatFunc()
-        low = min(coeffs)
-        if low >= 0:
-            num = [Fraction(0)] * (max(coeffs) + 1)
-            for i, c in coeffs.items():
-                num[i] = c
-            return RatFunc(num)
-        num = [Fraction(0)] * (max(coeffs) - low + 1)
+        # series(ceil(level)) holds exactly the coefficients a_i with i < level
+        coeffs = a.series(math.ceil(level.finite))
+        shift = min(0, min(coeffs, default=0))
+        num = [Fraction(0)] * (max(coeffs, default=0) - shift + 1)
         for i, c in coeffs.items():
-            num[i - low] = c
-        den = [Fraction(0)] * (-low) + [Fraction(1)]
-        return RatFunc(num, den)
+            num[i - shift] = c
+        return RatFunc(num, [Fraction(0)] * (-shift) + [Fraction(1)])
 
     def elem_to_json(self, a):
         a = self.coerce(a)

@@ -156,12 +156,11 @@ def assemble_complex(parts: Mapping) -> CellComplex:
 
 def locate_cell(K: CellComplex, x) -> Cell:
     """Sign pattern of a point with all-finite coordinates."""
-    coords = _finite_coords(K, x)
+    coords = _finite_coords(K.point(x))
     return Cell(tuple(f.sign(coords) for f in K.functionals))
 
 
-def _finite_coords(K: CellComplex, x) -> tuple:
-    pt = K.point(x)
+def _finite_coords(pt: tuple) -> tuple:
     if any(v.is_inf for v in pt):
         raise PreconditionError("point must have all-finite coordinates")
     return tuple(v.finite for v in pt)
@@ -281,9 +280,11 @@ def recession_barycenter(K: CellComplex, cell: Cell) -> tuple:
 def exit_time(K: CellComplex, cell: Cell, e: Sequence, x) -> Gamma:
     """First time x - t*e leaves the cell: 0 when e leaves the cell's affine
     hull, infinite when the point never leaves."""
-    coords = _finite_coords(K, x)
+    coords = _finite_coords(K.point(x))
     if locate_cell(K, coords) != cell:
         raise PreconditionError("point does not lie in the given cell")
+    if len(e) != K.n:
+        raise PreconditionError(f"direction has {len(e)} coordinates, the complex has {K.n}")
     if all(v == 0 for v in e):
         raise PreconditionError("exit time needs a nonzero direction")
     return _exit(K, cell, e, coords)[0]
@@ -314,7 +315,7 @@ def flow(K: CellComplex, t, x) -> FlowResult:
     pt = K.point(x)
     if pt[K.h_index].is_inf:
         return FlowResult((), pt)
-    coords = _finite_coords(K, pt)
+    coords = _finite_coords(pt)
     if K.region and not all(dot(a, coords) >= c for a, c in K.region):
         raise PreconditionError("start point lies outside the region")
     steps = []
@@ -459,4 +460,4 @@ def lipschitz_bound(K: CellComplex) -> Fraction:
 def xi_value(K: CellComplex, index: int, x) -> Fraction:
     """Value of the indexed preserved function at a finite point."""
     alpha, c = K.xis[index]
-    return dot(alpha, _finite_coords(K, x)) - c
+    return dot(alpha, _finite_coords(K.point(x))) - c

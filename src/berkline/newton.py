@@ -243,23 +243,17 @@ def _residue_poly_is_square(field, h: list) -> bool:
             return False
     elif lead <= 0 or any(isqrt(n) ** 2 != n for n in (lead.numerator, lead.denominator)):
         return False
-    monic = [_residue_div(p, a, lead) for a in h]
+
+    def div(a, b) -> Fraction:
+        # a / b in k, through the field's own residue map
+        return Fraction(field.residue(field.coerce(Fraction(a) / b)))
+
+    monic = [div(a, lead) for a in h]
     half = (len(h) - 1) // 2
     # the monic root s, from the top coefficients down: the u^(half + i)
     # coefficient of s^2 is 2 s_i plus products of s_(i+1..half-1)
     s = [Fraction(0)] * half + [Fraction(1)]
     for i in range(half - 1, -1, -1):
         acc = sum((s[a] * s[half + i - a] for a in range(i + 1, half)), Fraction(0))
-        s[i] = _residue_div(p, monic[half + i] - acc, Fraction(2))
-    diff = poly_sub(poly_mul(s, s), monic)
-    if p:
-        return all(x.numerator % p == 0 for x in diff)
-    return not trim(diff)
-
-
-def _residue_div(p: int, a: Fraction, b: Fraction) -> Fraction:
-    if p:
-        bn = b.numerator * pow(b.denominator, -1, p) % p
-        an = a.numerator * pow(a.denominator, -1, p) % p
-        return Fraction(an * pow(bn, -1, p) % p)
-    return a / b
+        s[i] = div(monic[half + i] - acc, 2)
+    return not any(div(x, 1) for x in poly_sub(poly_mul(s, s), monic))

@@ -187,8 +187,7 @@ def join(field, x: PLinePoint, y: PLinePoint) -> PLinePoint:
 
 
 def metric_d(field, x: PLinePoint, y: PLinePoint) -> Gamma:
-    """The standard metric on simple points.
-
+    """The standard metric on simple points, the depth of ``join(x, y)``:
     val(x - y) when both values lie in the unit disk, val(1/x - 1/y) when
     both lie outside the open unit disk, 0 when the valuations have
     strictly different signs; d(x, x) = inf.
@@ -197,21 +196,7 @@ def metric_d(field, x: PLinePoint, y: PLinePoint) -> Gamma:
     py = normalize_point(field, y)
     if not (px.is_simple and py.is_simple):
         raise PreconditionError("metric_d is defined on simple points only")
-    if px == py:
-        return INF
-    xa = _as_xball(field, px)
-    xb = _as_xball(field, py)
-    if xa == _AT_INFINITY or xb == _AT_INFINITY:
-        other = xb if xa == _AT_INFINITY else xa
-        v = field.val(other[0])
-        return Gamma(0) if v > 0 else -v
-    a, b = xa[0], xb[0]
-    va, vb = field.val(a), field.val(b)
-    if va >= 0 and vb >= 0:
-        return field.val(a - b)
-    if va <= 0 and vb <= 0:
-        return field.val(field.one / a - field.one / b)
-    return Gamma(0)
+    return depth(field, join(field, px, py))
 
 
 def psi(field, t, a: PLinePoint) -> PLinePoint:

@@ -1,10 +1,19 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from berkline.errors import PreconditionError
-from berkline.fields import PAdicField, RatFunc, TAdicField, _is_prime, field_from_json
+from berkline.fields import (
+    PAdicField,
+    RatFunc,
+    TAdicField,
+    _int_val,
+    _is_prime,
+    field_from_json,
+)
 from berkline.gamma import INF, Gamma
 from berkline.polys import (
     poly_add,
@@ -114,6 +123,57 @@ def test_padic_truncate_is_canonical(a, level):
     assert Q5.truncate(b, level) == t
 
 
+def truncate_by_digits(field, a, level):
+    """PAdicField.truncate before the closed form, kept as an oracle: peel
+    off one digit at a time until the next digit sits at or above level."""
+    a = field.coerce(a)
+    level = level if isinstance(level, Gamma) else Gamma(level)
+    if level.is_inf:
+        return a
+    out = Fraction(0)
+    work = a
+    while work != 0:
+        i = _int_val(work.numerator, field.p) - _int_val(work.denominator, field.p)
+        if i >= level.finite:
+            break
+        digit = field.residue(work / Fraction(field.p) ** i)
+        term = Fraction(digit) * Fraction(field.p) ** i
+        out += term
+        work -= term
+    return out
+
+
+def test_padic_truncate_matches_digit_oracle():
+    # denominators divisible by p, negative numerators, levels that are
+    # non-integer, negative or below val(a); the oracle only runs at
+    # levels <= 40, where its digit loop stays cheap
+    rng = random.Random(1414)
+    fields = [PAdicField(p) for p in (2, 3, 5, 7, 13)]
+    for k in range(2500):
+        field = fields[k % len(fields)]
+        p = field.p
+        num = rng.randint(-10**6, 10**6)
+        den = rng.randint(1, 400) * p ** rng.randint(0, 4)
+        a = Fraction(num, den) * Fraction(p) ** rng.randint(-3, 3)
+        level = Fraction(rng.randint(-12 * 6, 40 * 6), rng.choice((1, 2, 3, 6)))
+        if k % 7 == 0 and a:
+            # a level at or below val(a) truncates to zero
+            level = field.val(a).finite - rng.randint(0, 3)
+        got = field.truncate(a, level)
+        assert got == truncate_by_digits(field, a, level), (p, a, level)
+        assert isinstance(got, Fraction)
+    assert Q5.truncate(Fraction(3, 7), INF) == Fraction(3, 7)
+    assert Q5.truncate(Fraction(0), 3) == 0
+
+
+def test_padic_truncate_deep_level():
+    # centers whose 5-adic expansion never ends, 10^4 and 3000 digits deep
+    assert PAdicField(5).truncate(Fraction(1, 3), 10**4) == Fraction(pow(3, -1, 5**10**4))
+    assert PAdicField(5).truncate(Fraction(-2, 75), 3000) == Fraction(
+        -2 * pow(3, -1, 5**3002) % 5**3002, 25
+    )
+
+
 def test_ratfunc_normal_form():
     t = RatFunc.t()
     a = (t * t + t) / (t + 1)
@@ -174,6 +234,51 @@ def test_tadic_truncate_is_canonical(a, level):
     assert QT.truncate(tr, level) == tr
     shift = RatFunc.t() ** max(level, 0) * 3
     assert QT.truncate(a + shift, level) == tr
+
+
+def truncate_two_branch(a, level):
+    """TAdicField.truncate before the one-branch form, kept as an oracle."""
+    a = QT.coerce(a)
+    level = level if isinstance(level, Gamma) else Gamma(level)
+    if level.is_inf:
+        return a
+    cut = math.ceil(level.finite)
+    coeffs = a.series(cut)
+    coeffs = {i: c for i, c in coeffs.items() if Fraction(i) < level.finite}
+    if not coeffs:
+        return RatFunc()
+    low = min(coeffs)
+    if low >= 0:
+        num = [Fraction(0)] * (max(coeffs) + 1)
+        for i, c in coeffs.items():
+            num[i] = c
+        return RatFunc(num)
+    num = [Fraction(0)] * (max(coeffs) - low + 1)
+    for i, c in coeffs.items():
+        num[i - low] = c
+    den = [Fraction(0)] * (-low) + [Fraction(1)]
+    return RatFunc(num, den)
+
+
+def test_tadic_truncate_matches_two_branch_oracle():
+    # Laurent tails from powers of t in the denominator, non-polynomial
+    # denominators, and non-integer, negative and sub-valuation levels
+    rng = random.Random(2828)
+    t = RatFunc.t()
+
+    def poly(size):
+        return [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(size)]
+
+    for k in range(1500):
+        den = poly(rng.randint(1, 3))
+        if not any(den):
+            den = [Fraction(1)]
+        a = RatFunc(poly(rng.randint(1, 4)), den) / t ** rng.randint(0, 3)
+        level = Fraction(rng.randint(-5 * 6, 8 * 6), rng.choice((1, 2, 3, 6)))
+        if k % 7 == 0 and a:
+            level = QT.val(a).finite - rng.randint(0, 2)
+        assert QT.truncate(a, level) == truncate_two_branch(a, level), (a, level)
+    assert QT.truncate(t + 1, INF) == t + 1
 
 
 def test_residues():

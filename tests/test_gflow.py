@@ -188,6 +188,12 @@ def test_exit_time_example():
     assert locate_cell(K, [Fraction(1, 2), 1]).pattern == ("<", ">", ">")
     assert exit_time(K, edge, (fr(1), fr(0)), [1, 1]) == Gamma(0)
     assert exit_time(K, edge, (fr(1), fr(1)), [1, 1]) == Gamma(1)
+    # a direction needs one entry per coordinate, not a prefix or an overrun
+    inner = locate_cell(K, [1, 2])
+    assert inner.pattern == ("<", ">", ">")
+    for bad in ((fr(1),), (fr(1), fr(0), fr(5))):
+        with pytest.raises(PreconditionError):
+            exit_time(K, inner, bad, [1, 2])
 
 
 def test_point_reads_the_coordinate_spec():
@@ -506,7 +512,7 @@ def flow_relocating(K, t, x) -> FlowResult:
     pt = K.point(x)
     if pt[K.h_index].is_inf:
         return FlowResult((), pt)
-    coords = _finite_coords(K, pt)
+    coords = _finite_coords(pt)
     if K.region and not all(dot(a, coords) >= c for a, c in K.region):
         raise PreconditionError("start point lies outside the region")
     steps = []
@@ -592,3 +598,18 @@ def test_flow_locates_only_its_start(monkeypatch):
     res = flow(three(), INF, [2, 3, 0])
     assert len(res.steps) == 2
     assert len(calls) == 1
+
+
+def test_flow_reads_its_start_twice(monkeypatch):
+    # once in flow itself and once in its one locate_cell call
+    calls = []
+    real = gflow.CellComplex.point
+
+    def counting(self, x):
+        calls.append(x)
+        return real(self, x)
+
+    K = three()
+    monkeypatch.setattr(gflow.CellComplex, "point", counting)
+    flow(K, INF, [2, 3, 0])
+    assert len(calls) == 2

@@ -25,7 +25,7 @@ from berkline.pline import (
     skeleton,
     skeleton_contains,
 )
-from berkline.pline import _point_sort_key
+from berkline.pline import _AT_INFINITY, _as_xball, _point_sort_key
 from berkline.tree import MetricTree
 
 Q5 = PAdicField(5)
@@ -113,6 +113,15 @@ def test_cross_chart_descriptions_agree(c, r):
         assert normalize_point(Q5, other) == normalize_point(Q5, pt(STD, c, r))
 
 
+def test_normalize_deep_ball():
+    # a unit center whose 5-adic expansion never ends, at a deep radius
+    deep = Gamma(10**4)
+    want = PLinePoint(STD, Fraction(pow(3, -1, 5**10**4)), deep)
+    assert normalize_point(Q5, pt(STD, Fraction(1, 3), deep)) == want
+    assert normalize_point(Q5, want) == want
+    assert retract(Q5, want, [simple_point(Q5, 0), INFTY]) == GAUSS
+
+
 def test_depth_examples():
     assert depth(Q5, GAUSS) == Gamma(0)
     assert depth(Q5, ball(0, 2)) == Gamma(2)
@@ -151,6 +160,52 @@ def test_metric_ultrametric(x, y, z):
 @given(simple_points(), simple_points())
 def test_metric_equals_depth_of_join(x, y):
     assert metric_d(Q5, x, y) == depth(Q5, join(Q5, x, y))
+
+
+def metric_d_by_charts(field, x, y):
+    """metric_d before it became the depth of the join, kept as an oracle:
+    a case analysis over the charts of the two values."""
+    px = normalize_point(field, x)
+    py = normalize_point(field, y)
+    if not (px.is_simple and py.is_simple):
+        raise PreconditionError("metric_d is defined on simple points only")
+    if px == py:
+        return INF
+    xa = _as_xball(field, px)
+    xb = _as_xball(field, py)
+    if xa == _AT_INFINITY or xb == _AT_INFINITY:
+        other = xb if xa == _AT_INFINITY else xa
+        v = field.val(other[0])
+        return Gamma(0) if v > 0 else -v
+    a, b = xa[0], xb[0]
+    va, vb = field.val(a), field.val(b)
+    if va >= 0 and vb >= 0:
+        return field.val(a - b)
+    if va <= 0 and vb <= 0:
+        return field.val(field.one / a - field.one / b)
+    return Gamma(0)
+
+
+@settings(max_examples=300)
+@given(simple_points(), simple_points())
+def test_metric_matches_chart_oracle_q5(x, y):
+    assert metric_d(Q5, x, y) == metric_d_by_charts(Q5, x, y)
+
+
+def test_metric_matches_chart_oracle_on_a_grid():
+    # every pair from a grid of Q5 and Q(t) values, infinity and a point
+    # given in the inv chart included
+    t = RatFunc.t()
+    q5 = [
+        Fraction(k, d) * Fraction(5) ** e for k in (-2, 1, 3, 7) for d in (1, 3) for e in (-2, 0, 1)
+    ]
+    qt = [(t + k) * t**e for k in (0, 1, -2) for e in (-2, -1, 0, 2)]
+    for field, values in ((Q5, q5), (QT, qt)):
+        pts = [simple_point(field, v) for v in values] + [infinity_point(field)]
+        pts.append(PLinePoint(INV, field.uniformizer_pow(3), INF))
+        for x in pts:
+            for y in pts:
+                assert metric_d(field, x, y) == metric_d_by_charts(field, x, y), (x, y)
 
 
 def test_join_examples():
