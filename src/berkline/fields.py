@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .errors import PreconditionError, SceneError
-from .gamma import INF, Gamma, Rational, rational
+from .gamma import INF, Gamma, Rational, as_gamma, rational
 from .polys import poly_add, poly_divmod, poly_gcd, poly_mul, poly_neg, trim
 from .spec import FIELD, walk
 
@@ -257,7 +257,7 @@ class PAdicField:
         so centers of equal balls truncate identically.
         """
         a = self.coerce(a)
-        level = level if isinstance(level, Gamma) else Gamma(level)
+        level = as_gamma(level)
         if a == 0 or level.is_inf:
             return a
         v = int(self.val(a).finite)
@@ -331,7 +331,7 @@ class TAdicField:
 
     def truncate(self, a, level: "Gamma | Rational") -> RatFunc:
         a = self.coerce(a)
-        level = level if isinstance(level, Gamma) else Gamma(level)
+        level = as_gamma(level)
         if level.is_inf:
             return a
         # series(ceil(level)) holds exactly the coefficients a_i with i < level

@@ -8,8 +8,8 @@ because the extended group has no bottom element.
 ``MinAffine`` models pointwise minima of finitely many affine maps
 ``t -> intercept + slope * t`` on the value group.  The module also holds
 the package's one coercion of input to an exact rational
-(:func:`rational`) and the lower convex hull shared with Newton polygons
-(:func:`lower_hull`).
+(:func:`rational`) and to the value group (:func:`as_gamma`), and the
+lower convex hull shared with Newton polygons (:func:`lower_hull`).
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from typing import Iterable, Iterator, Union
 from .errors import PreconditionError
 
 __all__ = [
-    "Gamma", "GammaError", "INF", "MinAffine", "Rational", "gmax", "gmin",
-    "lower_hull", "rational",
+    "Gamma", "GammaError", "INF", "INF_WORDS", "MinAffine", "Rational", "as_gamma",
+    "gmax", "gmin", "lower_hull", "rational",
 ]
 
 Rational = Union[int, Fraction]
@@ -141,6 +141,15 @@ def _coerce(x: "Gamma | Rational") -> Gamma:
 
 
 INF = Gamma(None)
+INF_WORDS = ("inf", "oo")
+
+
+def as_gamma(x) -> Gamma:
+    """An element of Gamma: a Gamma as it is, a :func:`rational`, or inf
+    spelled as one of INF_WORDS; anything else is a PreconditionError."""
+    if isinstance(x, Gamma):
+        return x
+    return INF if isinstance(x, str) and x in INF_WORDS else Gamma(rational(x))
 
 
 def gmin(items: Iterable["Gamma | Rational"]) -> Gamma:

@@ -32,7 +32,7 @@ from functools import wraps
 from typing import Mapping, Sequence
 
 from .errors import InconsistencyError, PreconditionError, SceneError
-from .gamma import Gamma, INF, rational
+from .gamma import Gamma, INF, as_gamma
 from .polyhedra import (
     OPTIMAL,
     UNBOUNDED,
@@ -309,7 +309,7 @@ def _exit(K: CellComplex, cell: Cell, e: Sequence, coords: tuple) -> tuple:
 
 def flow(K: CellComplex, t, x) -> FlowResult:
     """Run the downhill flow for time t (infinite t runs to termination)."""
-    t = t if isinstance(t, Gamma) else Gamma(rational(t))
+    t = as_gamma(t)
     if t < 0:
         raise PreconditionError("flow time must be nonnegative")
     pt = K.point(x)

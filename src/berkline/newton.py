@@ -26,7 +26,7 @@ from math import isqrt
 from typing import Sequence
 
 from .errors import PreconditionError
-from .gamma import INF, Gamma, MinAffine, lower_hull
+from .gamma import INF, Gamma, MinAffine, as_gamma, lower_hull
 from .pline import PLinePoint, STD, gauss_val
 from .polys import poly_mul, poly_sub, taylor_shift, trim
 
@@ -58,7 +58,7 @@ class RootProfile:
     pieces: tuple
 
     def piece_at(self, t: "Gamma | Fraction | int") -> tuple:
-        t = t if isinstance(t, Gamma) else Gamma(t)
+        t = as_gamma(t)
         if t < 0:
             raise PreconditionError("path parameter must be >= 0")
         for lo, hi, roots in self.pieces:
@@ -68,8 +68,8 @@ class RootProfile:
 
     def values_at(self, t: "Gamma | Fraction | int") -> tuple:
         """Multiset of (root valuation, multiplicity) at one parameter."""
+        t = as_gamma(t)
         _, _, roots = self.piece_at(t)
-        t = t if isinstance(t, Gamma) else Gamma(t)
         return tuple((fn.eval(t), mult) for fn, mult in roots)
 
 
@@ -77,7 +77,7 @@ def newton_polygon(coeff_vals: Sequence) -> NewtonPolygon:
     """Polygon of a polynomial given only its coefficient valuations."""
     pts = []
     for i, v in enumerate(coeff_vals):
-        g = v if isinstance(v, Gamma) else Gamma(v)
+        g = as_gamma(v)
         if not g.is_inf:
             pts.append((Fraction(i), g.finite))
     if not pts:
@@ -206,7 +206,7 @@ def quadratic_residual_square(field, F: Sequence, center, t) -> bool:
         raise PreconditionError("residual square test needs y-degree exactly 2")
     if field.residue_char == 2:
         raise PreconditionError("residual square test needs odd residue characteristic")
-    t = t if isinstance(t, Gamma) else Gamma(t)
+    t = as_gamma(t)
     if t.is_inf or t.finite.denominator != 1:
         raise PreconditionError("residual square test needs an integral radius")
     a0, a1, a2 = rows[0], rows[1], rows[2]

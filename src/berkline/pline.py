@@ -7,30 +7,32 @@ val(z - center) >= radius; radius ``inf`` cuts the ball down to the single
 value z = center, a simple point.  The simple point at infinity is
 ``(inv, 0, inf)``.
 
-Different raw triples can describe one and the same point, so everything
-here normalizes first.  The canonical form puts a ball in the std chart
-whenever it meets the closed unit disk: balls containing 0 become
-``(std, 0, r)`` (with r < 0 when the ball straddles the unit circle), and
-balls of units keep a truncated center.  Balls of elements of negative
-valuation live in the inv chart with the radius rescaled to the y
-coordinate; see :func:`normalize_point`.
+Different raw triples can describe one and the same point; :func:`depth`
+and :func:`join` read any of them as a ball in the x coordinate.  The
+canonical form puts a ball in the std chart whenever it meets the closed
+unit disk: balls containing 0 become ``(std, 0, r)`` (with r < 0 when the
+ball straddles the unit circle), and balls of units keep a truncated
+center.  Balls of elements of negative valuation live in the inv chart
+with the radius rescaled to the y coordinate; see :func:`normalize_point`.
 
 The tree order is rooted at the Gauss point, the radius-0 ball around 0.
 :func:`depth` is the tree distance from that root, :func:`join` is the
 median of two points and the root, :func:`psi` flows a point toward the
 root, and :func:`rho`, :func:`psi_divisor`, :func:`retract` and
 :func:`skeleton` implement the deformation retraction onto the subtree
-spanned by a divisor together with the root.
+spanned by a divisor together with the root, the union of the paths from
+the divisor points to the root.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import PreconditionError
-from .gamma import INF, Gamma, gmax, gmin
+from .gamma import INF, INF_WORDS, Gamma, as_gamma, gmax, gmin
 from .polys import poly_eval, taylor_shift
 from .tree import MetricTree
 
@@ -87,6 +89,19 @@ def simple_point(field, value) -> PLinePoint:
     return _from_xball(field, (field.coerce(value), INF))
 
 
+def read_point(field, v) -> PLinePoint:
+    """The point a loose value names: a PLinePoint as it is, a ball object
+    {chart, center, radius} normalized, inf as an infinite Gamma or a word
+    in INF_WORDS, and any other value as the simple point of that element."""
+    if isinstance(v, PLinePoint):
+        return v
+    if isinstance(v, Mapping):
+        return normalize_point(field, PLinePoint(v["chart"], v["center"], v["radius"]))
+    if (isinstance(v, Gamma) and v.is_inf) or (isinstance(v, str) and v in INF_WORDS):
+        return infinity_point(field)
+    return simple_point(field, v)
+
+
 # Internal representation: every point except the simple point at infinity
 # is an x-chart ball (center, radius) with radius in Q union {inf}; negative
 # radii encode balls properly containing the unit disk.  The simple point at
@@ -100,7 +115,7 @@ def _as_xball(field, p: PLinePoint):
         raise PreconditionError(f"expected a PLinePoint, got {type(p).__name__}")
     if p.chart not in (STD, INV):
         raise PreconditionError(f"unknown chart {p.chart!r}")
-    radius = p.radius if isinstance(p.radius, Gamma) else Gamma(p.radius)
+    radius = as_gamma(p.radius)
     c = field.coerce(p.center)
     if p.chart == STD:
         return (c, radius)
@@ -129,11 +144,11 @@ def _from_xball(field, xb) -> PLinePoint:
         # the ball contains 0; includes every ball with r < 0
         return PLinePoint(STD, field.zero, r)
     if v >= 0:
-        return PLinePoint(STD, field.truncate(c, r.finite), r)
+        return PLinePoint(STD, field.truncate(c, r), r)
     # val(center) < 0: the ball is disjoint from the unit disk and is a
     # y-chart ball around 1/center of radius r - 2 val(center)
     rp = r - 2 * v.finite
-    return PLinePoint(INV, field.truncate(field.one / c, rp.finite), rp)
+    return PLinePoint(INV, field.truncate(field.one / c, rp), rp)
 
 
 def normalize_point(field, p: PLinePoint) -> PLinePoint:
@@ -146,13 +161,17 @@ def normalize_point(field, p: PLinePoint) -> PLinePoint:
 
 
 def depth(field, p: PLinePoint) -> Gamma:
-    """Tree distance from the Gauss point; ``inf`` for simple points."""
-    q = normalize_point(field, p)
-    if q.radius.is_inf:
+    """Tree distance from the Gauss point; ``inf`` for simple points.
+
+    Read from the x-ball (c, r) of ``p`` as r - 2 min(0, val c, r): r for a
+    ball in the unit disk, -r for a ball around 0 of negative radius, and
+    the y-radius r - 2 val c for a ball outside the unit disk.
+    """
+    xb = _as_xball(field, p)
+    if xb == _AT_INFINITY or xb[1].is_inf:
         return INF
-    if q.chart == INV:
-        return q.radius
-    return q.radius if q.radius >= 0 else -q.radius
+    c, r = xb
+    return r - gmin([0, field.val(c), r]).scale(2)
 
 
 # Wedge in the tree rooted at infinity: the smallest x-chart ball containing
@@ -172,16 +191,15 @@ def join(field, x: PLinePoint, y: PLinePoint) -> PLinePoint:
     """The median of x, y and the Gauss point: where the paths from x and y
     toward the root meet.  Equals the smallest ball containing both when
     that ball meets the closed unit disk of one of the charts."""
-    px = normalize_point(field, x)
-    py = normalize_point(field, y)
-    if px == py:
-        return px
-    xa = _as_xball(field, px)
-    xb = _as_xball(field, py)
+    xa = _as_xball(field, x)
+    xb = _as_xball(field, y)
+    if xa == _AT_INFINITY and xb == _AT_INFINITY:
+        return infinity_point(field)
     xg = (field.zero, Gamma(0))
     wedges = [_wedge(field, xa, xb), _wedge(field, xa, xg), _wedge(field, xb, xg)]
     balls = [w for w in wedges if w != _ROOT]
-    # at least one wedge involves the Gauss ball and is a true ball
+    # at least one wedge involves the Gauss ball and is a true ball; any two
+    # wedges share a point, so wedges of equal radius are one ball
     best = max(balls, key=lambda w: w[1]._key())
     return _from_xball(field, best)
 
@@ -192,11 +210,9 @@ def metric_d(field, x: PLinePoint, y: PLinePoint) -> Gamma:
     both lie outside the open unit disk, 0 when the valuations have
     strictly different signs; d(x, x) = inf.
     """
-    px = normalize_point(field, x)
-    py = normalize_point(field, y)
-    if not (px.is_simple and py.is_simple):
+    if not (depth(field, x).is_inf and depth(field, y).is_inf):
         raise PreconditionError("metric_d is defined on simple points only")
-    return depth(field, join(field, px, py))
+    return depth(field, join(field, x, y))
 
 
 def psi(field, t, a: PLinePoint) -> PLinePoint:
@@ -207,7 +223,7 @@ def psi(field, t, a: PLinePoint) -> PLinePoint:
     for every a; negative t continues past it toward the chart's center of
     perspective (x = infinity for std, x = 0 for inv).
     """
-    t = t if isinstance(t, Gamma) else Gamma(t)
+    t = as_gamma(t)
     p = normalize_point(field, a)
     if p.chart == STD and p.radius < 0:
         # a ball straddling the unit circle flows in the inv chart, where
@@ -227,7 +243,7 @@ def rho(field, a: PLinePoint, divisor: Sequence[PLinePoint]) -> Gamma:
 
 def psi_divisor(field, t, a: PLinePoint, divisor: Sequence[PLinePoint]) -> PLinePoint:
     """The divisor-stopped flow: psi at time max(t, rho(a, divisor))."""
-    t = t if isinstance(t, Gamma) else Gamma(t)
+    t = as_gamma(t)
     return psi(field, gmax([t, rho(field, a, divisor)]), a)
 
 
@@ -249,15 +265,14 @@ def gauss_val(field, coeffs: Sequence, p: PLinePoint) -> Gamma:
     gives inf.
     """
     c = field.coerce(p.center)
-    if not isinstance(p.radius, Gamma):
-        raise PreconditionError("ball radius must be a Gamma value")
+    radius = as_gamma(p.radius)
     cs = [field.coerce(a) for a in coeffs]
     if all(a == field.zero for a in cs):
         return INF
-    if p.radius.is_inf:
+    if radius.is_inf:
         return field.val(poly_eval(cs, c))
     shifted = taylor_shift(cs, c)
-    r = p.radius.finite
+    r = radius.finite
     return gmin([field.val(b) + Gamma(i * r) for i, b in enumerate(shifted)])
 
 
@@ -269,11 +284,12 @@ def _point_sort_key(field, p: PLinePoint):
 def skeleton(field, divisor: Sequence[PLinePoint], labels: Optional[Sequence[str]] = None) -> MetricTree:
     """The subtree spanned by the divisor and the Gauss point.
 
-    Vertices are the divisor points, the Gauss point, and the joins of
-    pairs of divisor points; each non-root vertex is joined to its nearest
-    ancestor by an edge whose length is the depth difference (``inf`` into
-    simple points).  Divisor labels become vertex tags; default labels are
-    the list positions as strings.
+    It is the union of the paths from the divisor points to the root.  The
+    vertices on the path above a divisor point a are a, the Gauss point and
+    the joins join(a, b) with the other divisor points; ordered by depth,
+    each is the parent of the next.  An edge's length is the depth
+    difference (``inf`` into simple points).  Divisor labels become vertex
+    tags; default labels are the list positions as strings.
     """
     if not divisor:
         raise PreconditionError("skeleton needs a nonempty divisor")
@@ -283,29 +299,26 @@ def skeleton(field, divisor: Sequence[PLinePoint], labels: Optional[Sequence[str
         raise PreconditionError("one label per divisor point required")
 
     normalized = [normalize_point(field, d) for d in divisor]
-    points = set(normalized)
     gauss = gauss_point(field)
-    # join is the meet of the tree rooted at the Gauss point, and
-    # join(join(a, b), c) is join(a, c) or join(b, c), so the pairwise
-    # joins are already closed under join
-    vertices = points | {gauss} | {join(field, u, v) for u, v in combinations(points, 2)}
+    # above[a] is the set of vertices on the path from a to the root: a
+    # vertex join(b, c) above a equals join(a, b) or join(a, c)
+    above = {a: {a, gauss} for a in normalized}
+    for a, b in combinations(above, 2):
+        j = join(field, a, b)
+        above[a].add(j)
+        above[b].add(j)
 
-    order = sorted(vertices, key=lambda q: _point_sort_key(field, q))
+    order = sorted(set().union(*above.values()), key=lambda q: _point_sort_key(field, q))
     index = {q: i for i, q in enumerate(order)}
-    root = index[gauss]
 
     parent: list[Optional[int]] = [None] * len(order)
-    lengths: list[Optional[Gamma]] = [None] * len(order)
-    for i, v in enumerate(order):
-        if i == root:
-            continue
-        # each join(v, d) is a vertex on the path from v to the root, and the
-        # nearest vertex above v is the root, a divisor point or a join(a, b),
-        # which then equals join(v, a) or join(v, b)
-        ancestors = ({gauss} | {join(field, v, d) for d in points}) - {v}
-        best = max(ancestors, key=lambda u: depth(field, u)._key())
-        parent[i] = index[best]
-        lengths[i] = depth(field, v) - depth(field, best)
+    for path in above.values():
+        # the sort key puts depth first, so a sorted path runs root first
+        chain = sorted(index[q] for q in path)
+        for up, down in zip(chain, chain[1:]):
+            parent[down] = up
+    depths = [depth(field, q) for q in order]
+    lengths = [None if up is None else depths[i] - depths[up] for i, up in enumerate(parent)]
 
     tags: list[tuple[str, ...]] = [()] * len(order)
     for label, q in zip(labels, normalized):
@@ -317,7 +330,7 @@ def skeleton(field, divisor: Sequence[PLinePoint], labels: Optional[Sequence[str
         parent=tuple(parent),
         lengths=tuple(lengths),
         tags=tuple(tags),
-        root=root,
+        root=index[gauss],
     )
 
 

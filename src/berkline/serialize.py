@@ -28,8 +28,8 @@ from .pline import (
     infinity_point,
     normalize_point,
     psi_divisor,
+    read_point,
     retract,
-    simple_point,
     skeleton,
     skeleton_contains,
 )
@@ -60,13 +60,6 @@ def rat_str(x) -> str:
 
 def gamma_json(g: Gamma) -> str:
     return "inf" if g.is_inf else rat_str(g.finite)
-
-
-def _point(field, p) -> PLinePoint:
-    """The point of a value read by the spec's point kind."""
-    if isinstance(p, dict):
-        return normalize_point(field, PLinePoint(p["chart"], p["center"], p["radius"]))
-    return infinity_point(field) if isinstance(p, str) else simple_point(field, p)
 
 
 def point_json(field, p: PLinePoint) -> dict:
@@ -153,7 +146,7 @@ def run_scene(scene: dict, fmt=None, seed: int = 0, check: bool = False) -> byte
 
 
 def _run_skeleton(field, args, fmt, seed, check) -> str:
-    pts = [_point(field, p) for p in args["divisor"]]
+    pts = [read_point(field, p) for p in args["divisor"]]
     tree = skeleton(field, pts)
     if check:
         _check_skeleton(field, tree, pts)
@@ -174,8 +167,8 @@ def _check_skeleton(field, tree, pts) -> None:
 
 
 def _run_retract(field, args, fmt, seed, check) -> str:
-    pts = [_point(field, p) for p in args["divisor"]]
-    a = _point(field, args["point"])
+    pts = [read_point(field, p) for p in args["divisor"]]
+    a = read_point(field, args["point"])
     q = retract(field, a, pts)
     if check:
         _check_retract(field, a, q, pts, seed)
@@ -344,7 +337,7 @@ def _check_newton(profile, events) -> None:
 def _run_trop(field, args, fmt, seed, check) -> str:
     table = args["map"]
     # homogeneous coordinates stay a pair; every other input is a point
-    inputs = [x if isinstance(x, list) else _point(field, x) for x in args["points"]]
+    inputs = [x if isinstance(x, list) else read_point(field, x) for x in args["points"]]
     values = [tau_h(field, table, x) for x in inputs]
     if check:
         _check_trop(field, table, inputs, values, seed)
@@ -447,7 +440,7 @@ def _run_family(field, args, fmt, seed, check) -> str:
     if fmt == "dot":
         graphs = []
         for idx, code in enumerate(sorted(classes)):
-            pts = [_point(field, e) for e in fam(classes[code][0])]
+            pts = [read_point(field, e) for e in fam(classes[code][0])]
             graphs.append(tree_dot(field, skeleton(field, pts), name=f"class{idx}"))
         return "".join(graphs)
     lines = ["class,sample"]

@@ -14,11 +14,10 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 from .errors import PreconditionError, SceneError
-from .gamma import INF, Gamma, rational
+from .gamma import INF_WORDS, as_gamma, rational
 
-__all__ = ["FIELD", "FLOW_LAYOUT", "FORMAT", "FORMATS", "GAMMA_POINT", "INF_WORDS", "SCENE", "TASKS", "walk"]
+__all__ = ["FIELD", "FLOW_LAYOUT", "FORMAT", "FORMATS", "GAMMA_POINT", "SCENE", "TASKS", "walk"]
 
-INF_WORDS = ("inf", "oo")
 FORMATS = ("json", "dot", "svg", "csv")
 
 
@@ -113,13 +112,6 @@ def choice(expected: str, *options):
     return read
 
 
-def gamma(v, ctx=None) -> Gamma:
-    """An element of Gamma: a Gamma as it is, a rational, or inf spelled as one of INF_WORDS."""
-    if isinstance(v, Gamma):
-        return v
-    return INF if isinstance(v, str) and v in INF_WORDS else Gamma(rational(v))
-
-
 def _elem_or(*words):
     """A field element or one of ``words``; the word "inf" takes every spelling in INF_WORDS."""
     spelled = {w: w for w in words} | {s: "inf" for s in INF_WORDS if "inf" in words}
@@ -142,7 +134,7 @@ def _permutes_w(v, ctx) -> bool:
 
 
 RATIONAL = leaf("a rational", lambda v, ctx: rational(v))
-GAMMA = leaf("a rational or inf", gamma)
+GAMMA = leaf("a rational or inf", lambda v, ctx: as_gamma(v))
 GAMMA_POINT = coords(GAMMA)  # a flow scene's start and the input of CellComplex.point
 ELEM = leaf("a field element", _elem_or())
 ANY = leaf("any value")
@@ -182,9 +174,9 @@ TASKS = {
     ), nonempty=True)}),
     "flow": obj(
         {**FLOW_LAYOUT.required, "start": GAMMA_POINT},
-        {**FLOW_LAYOUT.optional, "t": (
-            leaf("a nonnegative rational or inf", gamma, lambda v, ctx: gamma(v) >= 0), "inf"
-        )},
+        {**FLOW_LAYOUT.optional, "t": (leaf(
+            "a nonnegative rational or inf", lambda v, ctx: as_gamma(v), lambda v, ctx: as_gamma(v) >= 0
+        ), "inf")},
     ),
     # divisor entries parse to "inf", "b", {"affine": [c0, c1]} or an element
     "family": obj({

@@ -15,9 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gamma import INF
-from .pline import PLinePoint, infinity_point, simple_point, skeleton
-from .spec import INF_WORDS
+from .pline import read_point, skeleton
 
 __all__ = [
     "Fingerprint",
@@ -139,26 +137,19 @@ def tree_iso(t1, t2, strict: bool = False) -> bool:
     return not strict or f1.lengths == f2.lengths
 
 
-def _to_point(field, entry) -> PLinePoint:
-    if isinstance(entry, PLinePoint):
-        return entry
-    if entry is INF or (isinstance(entry, str) and entry in INF_WORDS):
-        return infinity_point(field)
-    return simple_point(field, entry)
-
-
 def family_sweep(field, family, samples) -> dict:
     """Partition the samples by the tagged shape code of their skeleton.
 
     ``family`` maps a sample value b to a divisor list whose entries are
-    points, field elements, or the string ``"inf"``; divisor positions
+    points, field elements, or infinity (an infinite Gamma, ``"inf"`` or
+    ``"oo"``), read by :func:`pline.read_point`; divisor positions
     become vertex tags, so the partition distinguishes which legs merge
     while staying blind to edge lengths.  Returns a mapping from shape
     code to the samples that produce it, in input order.
     """
     out: dict = {}
     for b in samples:
-        pts = [_to_point(field, e) for e in family(b)]
+        pts = [read_point(field, e) for e in family(b)]
         tree = skeleton(field, pts)
         code = tree_shape_code(tree, use_tags=True)
         out.setdefault(code, []).append(b)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import PreconditionError
-from .gamma import INF, Gamma, gmin
+from .gamma import Gamma, as_gamma, gmin
 from .pline import INV, PLinePoint, gauss_val, infinity_point, normalize_point, simple_point
 
 
@@ -37,7 +37,7 @@ class TropPoint:
 
 def trop_normalize(raw: Sequence) -> TropPoint:
     """Subtract the minimum coordinate; infinity absorbs the shift."""
-    vals = [v if isinstance(v, Gamma) else Gamma(v) for v in raw]
+    vals = [as_gamma(v) for v in raw]
     if not vals:
         raise PreconditionError("tropical point needs at least one coordinate")
     low = gmin(vals)
@@ -146,7 +146,7 @@ def polydisk_gauss_val(field, h, gamma: Sequence) -> Gamma:
     polynomial in monomial form over len(gamma) variables.  The value is
     min over monomials of val(coefficient) + exponents . gamma.
     """
-    radii = [g if isinstance(g, Gamma) else Gamma(g) for g in gamma]
+    radii = [as_gamma(g) for g in gamma]
     if any(g < 0 for g in radii):
         raise PreconditionError("polydisk radii must be nonnegative")
     mono = _monomial_map(field, h)

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from berkline.errors import PreconditionError
-from berkline.gamma import INF, Gamma, GammaError, MinAffine, gmax, gmin, rational
+from berkline.fields import PAdicField, TAdicField
+from berkline.gamma import INF, Gamma, GammaError, MinAffine, as_gamma, gmax, gmin, rational
+from berkline.gflow import build_complex, flow
+from berkline.newton import newton_polygon, quadratic_residual_square, root_valuations_along_path
+from berkline.pline import STD, PLinePoint, gauss_val, normalize_point, psi, psi_divisor, simple_point
+from berkline.trop import polydisk_gauss_val, trop_normalize
 
 rationals = st.fractions(max_denominator=40)
 gammas = st.one_of(rationals.map(Gamma), st.just(INF))
@@ -169,3 +174,51 @@ def test_known_envelope():
     f = MinAffine([(0, 0), (2, 0), (1, 1)])
     assert f.terms == ((Fraction(0), Fraction(0)), (Fraction(2), Fraction(0)))
     assert f.breakpoints() == [Fraction(0)]
+
+
+Q5 = PAdicField(5)
+PROFILE = root_valuations_along_path(Q5, [[0, 5, -1], [], [1]], 0)
+BALL = PLinePoint(STD, Fraction(1), Gamma(1))
+PLANE = build_complex({
+    "w": ["a", "h"],
+    "h": "h",
+    "functionals": [{"alpha": {"a": 1, "h": -1}, "c": 0}, {"alpha": {"a": 1}, "c": 0}],
+    "xi": [{"alpha": {"h": 1}, "c": 0}],
+})
+
+# every API entry that reads an element of the value group from its caller
+GAMMA_READERS = {
+    "ball radius": lambda g: normalize_point(Q5, PLinePoint(STD, 0, g)),
+    "gauss_val radius": lambda g: gauss_val(Q5, [1, 1], PLinePoint(STD, 0, g)),
+    "psi": lambda g: psi(Q5, g, BALL),
+    "psi_divisor": lambda g: psi_divisor(Q5, g, BALL, [simple_point(Q5, 0)]),
+    "trop_normalize": lambda g: trop_normalize([g, 2]),
+    "polydisk_gauss_val": lambda g: polydisk_gauss_val(Q5, {(1,): 1}, [g]),
+    "PAdicField.truncate": lambda g: Q5.truncate(Fraction(1, 3), g),
+    "TAdicField.truncate": lambda g: TAdicField().truncate(1, g),
+    "piece_at": lambda g: PROFILE.piece_at(g),
+    "values_at": lambda g: PROFILE.values_at(g),
+    "newton_polygon": lambda g: newton_polygon([g, 0]),
+    "quadratic_residual_square": lambda g: quadratic_residual_square(Q5, [[-1], [], [1]], 0, g),
+    "flow": lambda g: flow(PLANE, g, (1, 1)),
+}
+
+
+def _outcome(fn, g):
+    try:
+        return fn(g)
+    except PreconditionError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("value", [0.5, True, "x", None, "3/4"])
+@pytest.mark.parametrize("reader", sorted(GAMMA_READERS))
+def test_value_group_inputs(reader, value):
+    fn = GAMMA_READERS[reader]
+    if value == "3/4":
+        # the literal reads as the rational it spells, as in a scene file
+        assert as_gamma(value) == Gamma(Fraction(3, 4))
+        assert _outcome(fn, value) == _outcome(fn, Fraction(3, 4))
+    else:
+        with pytest.raises(PreconditionError, match="expected an exact rational|bad rational literal"):
+            fn(value)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +26,8 @@ from berkline.pline import (
     skeleton,
     skeleton_contains,
 )
-from berkline.pline import _AT_INFINITY, _as_xball, _point_sort_key
+from berkline import pline
+from berkline.pline import _AT_INFINITY, _ROOT, _as_xball, _from_xball, _point_sort_key, _wedge
 from berkline.tree import MetricTree
 
 Q5 = PAdicField(5)
@@ -531,3 +533,154 @@ def test_tadic_smoke():
     assert metric_d(QT, a, b) == Gamma(2)
     assert retract(QT, simple_point(QT, 1 + t), [a, infinity_point(QT)]) == g
     assert gauss_val(QT, [t, QT.one], PLinePoint(STD, QT.zero, Gamma(2))) == Gamma(1)
+
+
+# join, depth and skeleton as they were when every operation normalized its
+# inputs first and skeleton looked up each vertex's parent by a second pass
+# of joins against the divisor; kept as oracles for the x-ball reads and the
+# one-pass parents
+
+
+def depth_normalizing(field, p):
+    q = normalize_point(field, p)
+    if q.radius.is_inf:
+        return INF
+    if q.chart == INV:
+        return q.radius
+    return q.radius if q.radius >= 0 else -q.radius
+
+
+def join_normalizing(field, x, y):
+    px = normalize_point(field, x)
+    py = normalize_point(field, y)
+    if px == py:
+        return px
+    xa = _as_xball(field, px)
+    xb = _as_xball(field, py)
+    xg = (field.zero, Gamma(0))
+    wedges = [_wedge(field, xa, xb), _wedge(field, xa, xg), _wedge(field, xb, xg)]
+    balls = [w for w in wedges if w != _ROOT]
+    best = max(balls, key=lambda w: w[1]._key())
+    return _from_xball(field, best)
+
+
+def skeleton_by_ancestor_joins(field, divisor):
+    labels = [str(i) for i in range(len(divisor))]
+    normalized = [normalize_point(field, d) for d in divisor]
+    points = set(normalized)
+    gauss = gauss_point(field)
+    vertices = points | {gauss} | {join_normalizing(field, u, v) for u, v in combinations(points, 2)}
+    order = sorted(vertices, key=lambda q: _point_sort_key(field, q))
+    index = {q: i for i, q in enumerate(order)}
+    root = index[gauss]
+    parent = [None] * len(order)
+    lengths = [None] * len(order)
+    for i, v in enumerate(order):
+        if i == root:
+            continue
+        ancestors = ({gauss} | {join_normalizing(field, v, d) for d in points}) - {v}
+        best = max(ancestors, key=lambda u: depth_normalizing(field, u)._key())
+        parent[i] = index[best]
+        lengths[i] = depth_normalizing(field, v) - depth_normalizing(field, best)
+    tags = [()] * len(order)
+    for label, q in zip(labels, normalized):
+        i = index[q]
+        tags[i] = tags[i] + (label,)
+    return MetricTree(
+        points=tuple(order),
+        parent=tuple(parent),
+        lengths=tuple(lengths),
+        tags=tuple(tags),
+        root=root,
+    )
+
+
+@st.composite
+def tadic_series(draw):
+    # Laurent polynomials over 1 + a t, so most centers have no finite expansion
+    den = RatFunc([1, draw(st.sampled_from([0, 1, -2]))]) * RatFunc.t() ** draw(st.integers(0, 2))
+    return RatFunc(draw(st.lists(st.integers(-2, 2), min_size=1, max_size=4))) / den
+
+
+@st.composite
+def raw_points(draw, field, elements):
+    """Raw triples in both charts: untruncated centers, negative radii, inv
+    balls around y = 0 (center 0 or of valuation above the radius), simple
+    points on either side of the unit circle, and infinity as (inv, 0, inf)."""
+    chart = draw(st.sampled_from([STD, INV]))
+    c = field.coerce(draw(st.one_of(st.just(0), elements, elements.map(lambda e: e * 25))))
+    return PLinePoint(chart, c, draw(st.one_of(small_radii, st.just(INF))))
+
+
+@st.composite
+def raw_divisors(draw, field, elements):
+    # repeats both as the same triple and as its normal form
+    D = draw(st.lists(raw_points(field, elements), min_size=1, max_size=5))
+    again = draw(st.lists(st.sampled_from(D), max_size=2))
+    return D + again + [normalize_point(field, d) for d in again]
+
+
+def assert_tree_operations_match_oracles(field, x, y):
+    assert depth(field, x) == depth_normalizing(field, x)
+    assert join(field, x, y) == join_normalizing(field, x, y)
+    assert join(field, x, x) == join_normalizing(field, x, x)
+    assert join(field, x, normalize_point(field, x)) == normalize_point(field, x)
+    if x.radius.is_inf and y.radius.is_inf:
+        assert metric_d(field, x, y) == metric_d_by_charts(field, x, y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_points(Q5, centers), raw_points(Q5, centers))
+def test_tree_operations_match_normalizing_oracles_q5(x, y):
+    assert_tree_operations_match_oracles(Q5, x, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_points(QT, tadic_series()), raw_points(QT, tadic_series()))
+def test_tree_operations_match_normalizing_oracles_qt(x, y):
+    assert_tree_operations_match_oracles(QT, x, y)
+
+
+@settings(max_examples=80, deadline=None)
+@given(raw_divisors(Q5, centers))
+def test_skeleton_matches_ancestor_join_oracle_q5(D):
+    assert skeleton(Q5, D) == skeleton_by_ancestor_joins(Q5, D)
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw_divisors(QT, tadic_series()))
+def test_skeleton_matches_ancestor_join_oracle_qt(D):
+    assert skeleton(QT, D) == skeleton_by_ancestor_joins(QT, D)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(pline, name)
+    monkeypatch.setattr(pline, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_skeleton_joins_each_pair_once(monkeypatch):
+    values = [0, 1, 2, 5, 7, 25, Fraction(1, 5), Fraction(3, 25), 126]
+    D = [simple_point(Q5, v) for v in values] + [INFTY]
+    calls = _count_calls(monkeypatch, "join")
+    tree = skeleton(Q5, D + D[:3])
+    assert len(calls) == 10 * 9 // 2
+    assert tree == skeleton_by_ancestor_joins(Q5, D + D[:3])
+
+
+def test_tree_operations_do_not_normalize(monkeypatch):
+    pts = [
+        pt(STD, Fraction(1, 3), 2), pt(INV, 25, 1), pt(INV, 0, 3), pt(STD, 7, -2),
+        pt(STD, Fraction(1, 5), INF), pt(INV, 0, INF), GAUSS,
+    ]
+    simple = [pt(STD, 6, INF), pt(INV, 5, INF), pt(STD, Fraction(2, 25), INF), INFTY]
+    calls = _count_calls(monkeypatch, "normalize_point")
+    for x in pts:
+        depth(Q5, x)
+        for y in pts:
+            join(Q5, x, y)
+    for x in simple:
+        for y in simple:
+            metric_d(Q5, x, y)
+    assert calls == []

@@ -203,6 +203,13 @@ def test_family_constant_single_class():
     assert len(classes) == 1
 
 
+@pytest.mark.parametrize("infinity", ["inf", "oo", INF, Gamma(None)])
+def test_family_reads_every_spelling_of_infinity(infinity):
+    samples = [Fraction(5), Fraction(1, 5), Fraction(6), Fraction(2), Fraction(26)]
+    want = family_sweep(Q5, divisor_with_b, samples)
+    assert family_sweep(Q5, lambda b: [0, 1, b, infinity], samples) == want
+
+
 def test_family_three_point_divisor():
     bs = [Fraction(5), Fraction(25), Fraction(1, 5), Fraction(2), Fraction(7, 3)]
     classes = family_sweep(Q5, lambda b: [0, b, "inf"], bs)
