@@ -227,6 +227,8 @@ class PAdicField:
         return Fraction(1)
 
     def coerce(self, x) -> Fraction:
+        if type(x) is Fraction:
+            return x
         if isinstance(x, (int, Fraction)):
             return Fraction(x)
         raise PreconditionError(f"not a p-adic field element: {x!r}")
@@ -264,9 +266,15 @@ class PAdicField:
         m = math.ceil(level.finite) - v
         if m <= 0:
             return Fraction(0)
-        pv, mod = Fraction(self.p) ** v, self.p**m
+        pv = Fraction(self.p) ** v
         u = a / pv
-        return u.numerator * pow(u.denominator, -1, mod) % mod * pv
+        # a nonnegative integer u below 2^(m (bits(p) - 1)) <= p^m is its own
+        # residue, and p^m need not be formed
+        n = u.numerator
+        if u.denominator == 1 and n >= 0 and n.bit_length() <= m * (self.p.bit_length() - 1):
+            return a
+        mod = self.p**m
+        return n * pow(u.denominator, -1, mod) % mod * pv
 
     def elem_to_json(self, a) -> str:
         return str(self.coerce(a))

@@ -246,14 +246,19 @@ class MinAffine:
 def lower_hull(pts: list) -> list:
     """Vertices of the lower convex hull of points with strictly increasing x.
 
-    Collinear points are dropped, so every vertex is strictly lowest for
-    some direction.
+    A point is (x, y), or (x, y, s) for a point moving as (x, y + e s):
+    the hull of moving points is the one they keep for every small enough
+    e > 0, so heights compare by (y, s) lexicographically.  Collinear
+    points are dropped, so every vertex is strictly lowest for some
+    direction.
     """
     hull = []
     for p in pts:
         while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (x2 - x1) * (p[1] - y1) <= (y2 - y1) * (p[0] - x1):
+            a, b = hull[-2], hull[-1]
+            u, w = b[0] - a[0], p[0] - a[0]
+            lhs, rhs = u * (p[1] - a[1]), (b[1] - a[1]) * w
+            if lhs <= rhs and (lhs < rhs or len(p) == 2 or u * (p[2] - a[2]) <= (b[2] - a[2]) * w):
                 hull.pop()
             else:
                 break

@@ -9,6 +9,13 @@ interval the valuations of the y-roots are affine functions of t; the
 interval boundaries where the multiset of those functions changes are
 the candidate branching radii of the cover along the path.
 
+The profile comes from one sweep in t over the lower hull of the moving
+points (j, b_j(t)), a kinetic hull in the sense of Basch, Guibas and
+Hershberger.  The hull is rebuilt only at events, of three kinds: a
+breakpoint of some b_j, a hull vertex that becomes collinear with its
+two neighbours, and a point strictly between two adjacent hull vertices
+that reaches the edge joining them.
+
 Slope convention: a polygon segment from (i1, w1) to (i2, w2) with
 i1 < i2 is reported as slope (w1 - w2) / (i2 - i1), so the reported
 slope equals the common valuation of the corresponding roots.
@@ -19,9 +26,9 @@ little-endian in y, each little-endian in x.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import isqrt
 from typing import Sequence
 
@@ -113,7 +120,22 @@ def _bivariate(field, F: Sequence) -> list:
 
 
 def root_valuations_along_path(field, F: Sequence, center) -> RootProfile:
-    """Track the y-root valuations of F(x, y) = 0 over the path B(c, t)."""
+    """Track the y-root valuations of F(x, y) = 0 over the path B(c, t).
+
+    One sweep in t from 0.  Each nonzero row j is the point (j, y_j) with
+    y_j the term of its envelope that attains the minimum just after t.
+    The lower hull just after t compares heights by (value at t, slope).
+    Every row strictly inside the hull's range has an affine height over
+    the chord of its hull neighbours, and the hull keeps its shape up to
+    the least event after t, of three kinds:
+
+    - a row's next breakpoint, where its attaining term changes;
+    - a hull vertex whose height over its neighbours' chord falls to 0;
+    - a row strictly between two adjacent vertices that reaches their edge.
+
+    A piece starts only where the roots differ from the previous piece's,
+    so the pieces come out merged.
+    """
     rows = _bivariate(field, F)
     m = len(rows) - 1
     if m < 1:
@@ -122,69 +144,64 @@ def root_valuations_along_path(field, F: Sequence, center) -> RootProfile:
     while not rows[ord0]:
         ord0 += 1
     c = field.coerce(center)
-    paths = {}
+    # per nonzero row: its terms in attainment order and the breakpoints
+    # between them; at[r] indexes the term that attains just after t
+    xs, terms, cuts = [], [], []
     for j in range(ord0, m + 1):
         fn = coeff_val_path(field, rows[j], c)
         if not fn.is_infinite:
-            paths[j] = fn
+            xs.append(j)
+            terms.append(fn.terms[::-1])
+            cuts.append(fn.breakpoints())
+    at = [bisect_right(bps, 0) for bps in cuts]
+    t = Fraction(0)
+    starts = []
+    while True:
+        active = {j: ts[pos] for j, ts, pos in zip(xs, terms, at)}
+        hull = [p[0] for p in lower_hull([(j, s * t + o, s) for j, (s, o) in active.items()])]
+        roots = tuple(_edge_roots(active[i], active[k], k - i) for i, k in zip(hull, hull[1:]))
+        if not starts or roots != starts[-1][1]:
+            starts.append((t, roots))
+        events = [bps[pos] for bps, pos in zip(cuts, at) if pos < len(bps)]
+        for i, j, k in _hull_neighbours(xs, hull):
+            (si, oi), (sj, oj), (sk, ok) = active[i], active[j], active[k]
+            # (k - i) times the height of j over the chord from i to k is
+            # affine in t with this rate; its zero is the event
+            rate = (k - i) * (sj - si) - (j - i) * (sk - si)
+            if rate:
+                zero = ((j - i) * (ok - oi) - (k - i) * (oj - oi)) / rate
+                if zero > t:
+                    events.append(zero)
+        if not events:
+            break
+        t = min(events)
+        at = [pos + (pos < len(bps) and bps[pos] == t) for bps, pos in zip(cuts, at)]
 
-    cuts = set()
-    for fn in paths.values():
-        cuts.update(b for b in fn.breakpoints() if b > 0)
-    base = sorted(cuts)
-    for lo, hi in _cells(base):
-        mid = _midpoint(lo, hi)
-        active = {j: _active_term(fn, mid) for j, fn in paths.items()}
-        for i, j, k in combinations(sorted(active), 3):
-            si, oi = active[i]
-            sj, oj = active[j]
-            sk, ok = active[k]
-            a = (sk - sj) * (j - i) - (sj - si) * (k - j)
-            b = (ok - oj) * (j - i) - (oj - oi) * (k - j)
-            if a != 0:
-                t = -b / a
-                if lo < t < (hi if hi is not None else t + 1):
-                    cuts.add(t)
-
+    tail = ((MinAffine(), ord0),) if ord0 else ()
     pieces = []
-    for lo, hi in _cells(sorted(cuts)):
-        mid = _midpoint(lo, hi)
-        active = {j: _active_term(fn, mid) for j, fn in paths.items()}
-        pts = [(Fraction(j), s * mid + o) for j, (s, o) in sorted(active.items())]
-        hull = lower_hull(pts)
-        roots = []
-        for (i1, _), (i2, _) in zip(hull, hull[1:]):
-            s1, o1 = active[int(i1)]
-            s2, o2 = active[int(i2)]
-            span = i2 - i1
-            fn = MinAffine([((s1 - s2) / span, (o1 - o2) / span)])
-            roots.append((fn, int(span)))
-        roots.reverse()
-        if ord0:
-            roots.append((MinAffine(), ord0))
-        pieces.append((Gamma(lo), INF if hi is None else Gamma(hi), tuple(roots)))
+    for (lo, roots), (hi, _) in zip(starts, starts[1:] + [(None, None)]):
+        fns = tuple((MinAffine([(s, o)]), span) for s, o, span in reversed(roots))
+        pieces.append((Gamma(lo), INF if hi is None else Gamma(hi), fns + tail))
+    return RootProfile(tuple(pieces))
 
-    merged = [pieces[0]]
-    for lo, hi, roots in pieces[1:]:
-        plo, _, proots = merged[-1]
-        if roots == proots:
-            merged[-1] = (plo, hi, roots)
+
+def _edge_roots(left: tuple, right: tuple, span: int) -> tuple:
+    """(slope, intercept, multiplicity) of the roots one hull edge carries."""
+    (s1, o1), (s2, o2) = left, right
+    return ((s1 - s2) / span, (o1 - o2) / span, span)
+
+
+def _hull_neighbours(xs: list, hull: list) -> list:
+    """(i, j, k) for each j of xs strictly inside the hull's range, with i
+    and k the hull vertices next to j on either side."""
+    out, h = [], 0
+    for j in xs[1:-1]:
+        if j == hull[h + 1]:
+            h += 1
+            out.append((hull[h - 1], j, hull[h + 1]))
         else:
-            merged.append((lo, hi, roots))
-    return RootProfile(tuple(merged))
-
-
-def _cells(cuts: list) -> list:
-    bounds = [Fraction(0)] + [Fraction(c) for c in cuts] + [None]
-    return list(zip(bounds, bounds[1:]))
-
-
-def _midpoint(lo: Fraction, hi) -> Fraction:
-    return lo + 1 if hi is None else (lo + hi) / 2
-
-
-def _active_term(fn: MinAffine, t: Fraction) -> tuple:
-    return min(fn.terms, key=lambda term: term[0] * t + term[1])
+            out.append((hull[h], j, hull[h + 1]))
+    return out
 
 
 def branch_events(profile: RootProfile) -> list:

@@ -70,7 +70,7 @@ class PLinePoint:
 
     @property
     def is_simple(self) -> bool:
-        return self.radius.is_inf
+        return as_gamma(self.radius).is_inf
 
     def __repr__(self) -> str:
         return f"PLinePoint({self.chart!r}, {self.center!r}, {self.radius})"
@@ -278,7 +278,7 @@ def gauss_val(field, coeffs: Sequence, p: PLinePoint) -> Gamma:
 
 def _point_sort_key(field, p: PLinePoint):
     g = depth(field, p)
-    return (g._key(), 0 if p.chart == STD else 1, field.sort_key(p.center), p.radius._key())
+    return (g._key(), 0 if p.chart == STD else 1, field.sort_key(p.center), as_gamma(p.radius)._key())
 
 
 def skeleton(field, divisor: Sequence[PLinePoint], labels: Optional[Sequence[str]] = None) -> MetricTree:

@@ -10,6 +10,7 @@ instance selection or expected values.
 from __future__ import annotations
 
 import math
+import os
 import random
 import subprocess
 import sys
@@ -505,6 +506,8 @@ def test_criterion_11_scene_determinism(tmp_path):
                 ],
                 capture_output=True,
                 text=True,
+                # two pinned hash seeds, so a dependence on set order shows every run
+                env={**os.environ, "PYTHONHASHSEED": str(run)},
             )
             assert proc.returncode == 0, proc.stderr
             payloads.append(out.read_bytes())

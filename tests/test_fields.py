@@ -174,6 +174,30 @@ def test_padic_truncate_deep_level():
     )
 
 
+def test_padic_truncate_short_integers():
+    # a nonnegative integer unit part below p^m is its own truncation; the
+    # short-cut answers without forming p^m, so a level of 10^6 is cheap
+    assert Q5.truncate(7, 10**6) == 7
+    assert Q5.truncate(Fraction(50), 10**6) == 50
+    assert Q2.truncate(Fraction(15, 2), 10**6) == Fraction(15, 2)
+    # at and around the edge of the bit-length bound, against the digit loop
+    for p in (2, 3, 5, 7, 13):
+        field = PAdicField(p)
+        for u in range(0, 4 * p * p):
+            for level in range(-1, 4):
+                want = truncate_by_digits(field, u, level)
+                assert field.truncate(u, level) == want, (p, u, level)
+                assert field.truncate(Fraction(u, p), level) == truncate_by_digits(field, Fraction(u, p), level)
+
+
+def test_padic_coerce_keeps_fractions():
+    f = Fraction(3, 4)
+    assert Q5.coerce(f) is f
+    assert type(Q5.coerce(3)) is Fraction and Q5.coerce(3) == 3
+    with pytest.raises(PreconditionError):
+        Q5.coerce(0.75)
+
+
 def test_ratfunc_normal_form():
     t = RatFunc.t()
     a = (t * t + t) / (t + 1)

@@ -1,15 +1,18 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from berkline import newton
 from berkline.errors import PreconditionError
 from berkline.fields import PAdicField, TAdicField
-from berkline.gamma import INF, Gamma, MinAffine
+from berkline.gamma import INF, Gamma, MinAffine, lower_hull
 from berkline.newton import (
     NewtonPolygon,
     RootProfile,
+    _bivariate,
     _residue_poly_is_square,
     branch_events,
     coeff_val_path,
@@ -20,6 +23,7 @@ from berkline.newton import (
 from berkline.pline import PLinePoint, STD, gauss_val
 from berkline.polys import DEGREE_CAP, poly_mul, poly_neg, poly_sub, taylor_shift, trim
 
+Q3 = PAdicField(3)
 Q5 = PAdicField(5)
 QT = TAdicField()
 
@@ -207,6 +211,165 @@ def test_profile_mass_conservation(gs, hs):
     prof = profile_of(Q5, rows, 0)
     for _, _, roots in prof.pieces:
         assert sum(m for _, m in roots) == len(gs) + len(hs)
+
+
+def profile_by_triple_scan(field, F, center) -> RootProfile:
+    """root_valuations_along_path before the sweep, kept as an oracle: cut
+    each cell between row breakpoints at every zero of a cross product of
+    three rows, build a hull at the midpoint of every refined cell, then
+    merge neighbouring pieces with equal roots."""
+    rows = _bivariate(field, F)
+    m = len(rows) - 1
+    if m < 1:
+        raise PreconditionError("F must have positive y-degree")
+    ord0 = 0
+    while not rows[ord0]:
+        ord0 += 1
+    c = field.coerce(center)
+    paths = {}
+    for j in range(ord0, m + 1):
+        fn = coeff_val_path(field, rows[j], c)
+        if not fn.is_infinite:
+            paths[j] = fn
+
+    def cells(cuts):
+        bounds = [Fraction(0)] + [Fraction(x) for x in cuts] + [None]
+        return list(zip(bounds, bounds[1:]))
+
+    def midpoint(lo, hi):
+        return lo + 1 if hi is None else (lo + hi) / 2
+
+    def active_term(fn, t):
+        return min(fn.terms, key=lambda term: term[0] * t + term[1])
+
+    cuts = set()
+    for fn in paths.values():
+        cuts.update(b for b in fn.breakpoints() if b > 0)
+    for lo, hi in cells(sorted(cuts)):
+        mid = midpoint(lo, hi)
+        active = {j: active_term(fn, mid) for j, fn in paths.items()}
+        for i, j, k in combinations(sorted(active), 3):
+            si, oi = active[i]
+            sj, oj = active[j]
+            sk, ok = active[k]
+            a = (sk - sj) * (j - i) - (sj - si) * (k - j)
+            b = (ok - oj) * (j - i) - (oj - oi) * (k - j)
+            if a != 0:
+                t = -b / a
+                if lo < t < (hi if hi is not None else t + 1):
+                    cuts.add(t)
+
+    pieces = []
+    for lo, hi in cells(sorted(cuts)):
+        mid = midpoint(lo, hi)
+        active = {j: active_term(fn, mid) for j, fn in paths.items()}
+        pts = [(Fraction(j), s * mid + o) for j, (s, o) in sorted(active.items())]
+        hull = lower_hull(pts)
+        roots = []
+        for (i1, _), (i2, _) in zip(hull, hull[1:]):
+            s1, o1 = active[int(i1)]
+            s2, o2 = active[int(i2)]
+            span = i2 - i1
+            roots.append((MinAffine([((s1 - s2) / span, (o1 - o2) / span)]), int(span)))
+        roots.reverse()
+        if ord0:
+            roots.append((MinAffine(), ord0))
+        pieces.append((Gamma(lo), INF if hi is None else Gamma(hi), tuple(roots)))
+
+    merged = [pieces[0]]
+    for lo, hi, roots in pieces[1:]:
+        plo, _, proots = merged[-1]
+        if roots == proots:
+            merged[-1] = (plo, hi, roots)
+        else:
+            merged.append((lo, hi, roots))
+    return RootProfile(tuple(merged))
+
+
+def assert_sweep_matches_triple_scan(field, rows, center):
+    try:
+        want = profile_by_triple_scan(field, rows, center)
+    except PreconditionError:
+        with pytest.raises(PreconditionError):
+            root_valuations_along_path(field, rows, center)
+        return
+    assert root_valuations_along_path(field, rows, center).pieces == want.pieces
+
+
+@st.composite
+def sparse_covers(draw):
+    """A field and a table of rows over it: leading zero rows (a y^k factor),
+    empty rows in between, and coefficients of assorted valuation, so that
+    roots branch, sit at y = 0 and escape as t grows."""
+    field = draw(st.sampled_from((Q3, Q5, QT)))
+
+    def coeff():
+        unit = draw(st.integers(min_value=-4, max_value=4))
+        return field.coerce(unit) * field.uniformizer_pow(draw(st.integers(min_value=-1, max_value=3)))
+
+    rows = [[] for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2))))]
+    for _ in range(draw(st.integers(min_value=2, max_value=7))):
+        if draw(st.integers(min_value=0, max_value=4)) == 0:
+            rows.append([])
+        else:
+            rows.append([coeff() for _ in range(draw(st.integers(min_value=1, max_value=4)))])
+    center = field.coerce(draw(st.fractions(min_value=-6, max_value=6, max_denominator=4)))
+    return field, rows, center
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_covers())
+def test_sweep_matches_triple_scan(cover):
+    assert_sweep_matches_triple_scan(*cover)
+
+
+def test_sweep_matches_triple_scan_on_factored_covers():
+    # covers prod (y - g_i) with roots of valuations spread over 0..3, a y^2
+    # factor in half of them, over each of Q3, Q5 and Q(t)
+    rng = random.Random(1818)
+    for k in range(60):
+        field = (Q3, Q5, QT)[k % 3]
+        pi = field.uniformizer_pow(1)
+        gs = []
+        for _ in range(rng.randint(2, 6)):
+            g = [field.coerce(rng.randint(-5, 5)) * pi ** rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+            gs.append(g)
+        rows = bivariate_from_roots(field, gs)
+        if k % 2:
+            rows = [[], []] + rows
+        assert_sweep_matches_triple_scan(field, rows, field.coerce(Fraction(rng.randint(-3, 3), rng.randint(1, 2))))
+
+
+def dense_table(rng, degree):
+    return [[Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(3)] for _ in range(degree + 1)]
+
+
+def test_sweep_matches_triple_scan_on_dense_tables():
+    rng = random.Random(2024)
+    for degree in (4, 8, 12, 16, 24, 32):
+        for field in (Q3, Q5):
+            assert_sweep_matches_triple_scan(field, dense_table(rng, degree), Fraction(1, 3))
+
+
+def test_sweep_hull_count(monkeypatch):
+    # one hull at t = 0 and one per event; an event is a row breakpoint or
+    # a change of hull, and a change of hull starts a piece
+    rng = random.Random(16)
+    for _ in range(4):
+        table = dense_table(rng, 16)
+        builds = []
+
+        def counting_hull(pts):
+            builds.append(len(pts))
+            return lower_hull(pts)
+
+        monkeypatch.setattr(newton, "lower_hull", counting_hull)
+        prof = root_valuations_along_path(Q5, table, Fraction(1, 3))
+        monkeypatch.undo()
+        breaks = sum(
+            sum(1 for b in coeff_val_path(Q5, row, Fraction(1, 3)).breakpoints() if b > 0) for row in table
+        )
+        assert 1 <= len(builds) <= breaks + len(prof.pieces) + 1
 
 
 def test_quadratic_residual_square():

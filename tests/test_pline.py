@@ -88,6 +88,17 @@ def test_normalize_examples():
     assert normalize_point(Q5, pt(STD, 7, -2)) == pt(STD, 0, -2)
 
 
+def test_point_with_int_radius():
+    # the API reads radii through as_gamma, so a raw int or Fraction radius
+    # answers like the Gamma it names
+    p = PLinePoint(STD, 0, 3)
+    assert p.is_simple is False
+    assert PLinePoint(STD, 0, Fraction(1, 2)).is_simple is False
+    assert PLinePoint(STD, 0, INF).is_simple is True
+    assert _point_sort_key(Q5, p) == _point_sort_key(Q5, PLinePoint(STD, 0, Gamma(3)))
+    assert depth(Q5, p) == depth(Q5, PLinePoint(STD, 0, Gamma(3)))
+
+
 @given(points())
 def test_normalize_idempotent(p):
     assert normalize_point(Q5, p) == p
