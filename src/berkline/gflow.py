@@ -10,8 +10,12 @@ until they reach the stable set or exhaust their time budget.  Points
 with x_h = infinity never move.
 
 All geometry is exact: feasibility and suprema run through the rational
-simplex in polyhedra, recession cones through exact ray enumeration
-over the rank-sized subsets of their rows, the only ones that pin a ray.
+simplex in polyhedra, recession cones through the double description
+method.  The complex keeps each functional and region row (alpha, c) also
+as one primitive integer row, a positive multiple that changes no sign,
+exit ratio or recession cone: cell location, the region test of a flow's
+start, exit times and cones read those rows against points brought to
+one common denominator.
 Steps compose as x - tau * e_C and restart in the cell cut out by the
 functionals binding at the exit time tau, which is 0 for a direction
 leaving its cell's affine hull; cell dimensions strictly decrease at
@@ -28,18 +32,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import wraps
+from functools import cached_property, wraps
 from typing import Mapping, Sequence
 
 from .errors import InconsistencyError, PreconditionError, SceneError
-from .gamma import Gamma, INF, as_gamma
+from .gamma import Gamma, INF, as_gamma, rational
 from .polyhedra import (
     OPTIMAL,
     UNBOUNDED,
     canonical_ray,
     cone_generators,
     dot,
+    integer_row,
     lp_max,
+    over_common_denominator,
     rank,
     strict_feasible,
 )
@@ -56,8 +62,7 @@ class Functional:
     c: Fraction
 
     def sign(self, x: Sequence) -> str:
-        v = dot(self.alpha, x) - self.c
-        return EQ if v == 0 else (GT if v > 0 else LT)
+        return _sign(dot(self.alpha, x) - self.c)
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,12 +106,28 @@ class CellComplex:
         self._cells = None
         self._memo = {}
 
+    @cached_property
+    def _rows(self) -> tuple:
+        """Each functional as one primitive integer row; the LP layer keeps
+        the rational ones."""
+        return tuple(_integer_functional(f.alpha, f.c) for f in self.functionals)
+
+    @cached_property
+    def _region_rows(self) -> tuple:
+        """Each region row (alpha, c) as one primitive integer row."""
+        return tuple(_integer_functional(a, c) for a, c in self.region)
+
     def point(self, x) -> tuple:
         """A name map over w, or a list or tuple aligned with w, as Gamma values."""
         try:
             return walk(GAMMA_POINT, x, "point", {"w": self.w})
         except SceneError as exc:
             raise PreconditionError(str(exc)) from exc
+
+
+def _integer_functional(alpha: Sequence, c) -> Functional:
+    row = integer_row((*alpha, c))
+    return Functional(row[:-1], row[-1])
 
 
 def build_complex(layout: Mapping) -> CellComplex:
@@ -156,8 +177,17 @@ def assemble_complex(parts: Mapping) -> CellComplex:
 
 def locate_cell(K: CellComplex, x) -> Cell:
     """Sign pattern of a point with all-finite coordinates."""
-    coords = _finite_coords(K.point(x))
-    return Cell(tuple(f.sign(coords) for f in K.functionals))
+    X, d = over_common_denominator(_finite_coords(K.point(x)))
+    return Cell(tuple(_sign(_value(f, X, d)) for f in K._rows))
+
+
+def _value(f: Functional, X: Sequence, d: int) -> int:
+    """d * (alpha . x - c) for an integer row f and the point x = X / d."""
+    return sum(a * v for a, v in zip(f.alpha, X)) - f.c * d
+
+
+def _sign(v) -> str:
+    return EQ if v == 0 else (GT if v > 0 else LT)
 
 
 def _finite_coords(pt: tuple) -> tuple:
@@ -166,17 +196,27 @@ def _finite_coords(pt: tuple) -> tuple:
     return tuple(v.finite for v in pt)
 
 
-def _cell_constraints(K: CellComplex, cell: Cell) -> tuple:
+def _checked_pattern(K: CellComplex, cell: Cell) -> tuple:
     if len(cell.pattern) != len(K.functionals):
         raise PreconditionError("cell pattern does not match the complex")
-    return _pattern_constraints(K, cell.pattern)
+    return cell.pattern
 
 
-def _pattern_constraints(K: CellComplex, pattern: tuple) -> tuple:
+def _cell_constraints(K: CellComplex, cell: Cell) -> tuple:
+    return _pattern_constraints(K.functionals, _checked_pattern(K, cell))
+
+
+def _cone_rows(K: CellComplex, cell: Cell) -> tuple:
+    """Integer (equality, inequality) rows of the cell's recession cone."""
+    eqs, gts = _pattern_constraints(K._rows, _checked_pattern(K, cell))
+    return [a for a, _ in eqs], [a for a, _ in gts]
+
+
+def _pattern_constraints(functionals: Sequence, pattern: tuple) -> tuple:
     """(equalities, strict inequalities) as (alpha, rhs) with alpha.x > rhs,
     from the signs of the first len(pattern) functionals."""
     eqs, gts = [], []
-    for f, s in zip(K.functionals, pattern):
+    for f, s in zip(functionals, pattern):
         if s == EQ:
             eqs.append((f.alpha, f.c))
         elif s == GT:
@@ -203,14 +243,14 @@ def _per_cell(fn):
 
 @_per_cell
 def cell_dimension(K: CellComplex, cell: Cell) -> int:
-    eqs, _ = _cell_constraints(K, cell)
-    return K.n - rank([a for a, _ in eqs], K.n)
+    eqs, _ = _cone_rows(K, cell)
+    return K.n - rank(eqs, K.n)
 
 
 @_per_cell
 def _recession(K: CellComplex, cell: Cell) -> tuple:
-    eqs, gts = _cell_constraints(K, cell)
-    return cone_generators([a for a, _ in eqs], [a for a, _ in gts], K.n)
+    eqs, ges = _cone_rows(K, cell)
+    return cone_generators(eqs, ges, K.n)
 
 
 def _m_bound(K: CellComplex, cell: Cell, i: int):
@@ -249,13 +289,9 @@ def recession_barycenter(K: CellComplex, cell: Cell) -> tuple:
     bounded polytope with nonnegative vertices."""
     if classify_D0(K, cell):
         return tuple(Fraction(0) for _ in range(K.n))
-    eqs, gts = _cell_constraints(K, cell)
-    unit_h = tuple(
-        Fraction(1 if j == K.h_index else 0) for j in range(K.n)
-    )
-    lin, rays = cone_generators(
-        [a for a, _ in eqs] + [unit_h], [a for a, _ in gts], K.n
-    )
+    eqs, ges = _cone_rows(K, cell)
+    unit_h = tuple(int(j == K.h_index) for j in range(K.n))
+    lin, rays = cone_generators(eqs + [unit_h], ges, K.n)
     if lin:
         raise InconsistencyError(
             "recession slice of an unstable cell has a lineality direction"
@@ -283,6 +319,7 @@ def exit_time(K: CellComplex, cell: Cell, e: Sequence, x) -> Gamma:
     coords = _finite_coords(K.point(x))
     if locate_cell(K, coords) != cell:
         raise PreconditionError("point does not lie in the given cell")
+    e = tuple(map(rational, e))
     if len(e) != K.n:
         raise PreconditionError(f"direction has {len(e)} coordinates, the complex has {K.n}")
     if all(v == 0 for v in e):
@@ -295,11 +332,13 @@ def _exit(K: CellComplex, cell: Cell, e: Sequence, coords: tuple) -> tuple:
     the least f(x) / (alpha . e) over the functionals moving toward zero, so
     an = sign with alpha . e != 0 gives 0, and at tau the strict signs whose
     functionals reach zero become = while every other sign stays."""
+    X, d = over_common_denominator(coords)
+    E, de = over_common_denominator(e)
     hits = {}
-    for i, (f, s) in enumerate(zip(K.functionals, cell.pattern)):
-        ae = dot(f.alpha, e)
+    for i, (f, s) in enumerate(zip(K._rows, cell.pattern)):
+        ae = sum(a * v for a, v in zip(f.alpha, E))
         if (ae > 0 and s != LT) or (ae < 0 and s != GT):
-            hits[i] = (dot(f.alpha, coords) - f.c) / ae
+            hits[i] = Fraction(_value(f, X, d) * de, d * ae)
     if not hits:
         return INF, cell
     tau = min(hits.values())
@@ -316,7 +355,8 @@ def flow(K: CellComplex, t, x) -> FlowResult:
     if pt[K.h_index].is_inf:
         return FlowResult((), pt)
     coords = _finite_coords(pt)
-    if K.region and not all(dot(a, coords) >= c for a, c in K.region):
+    X, d = over_common_denominator(coords)
+    if not all(_value(f, X, d) >= 0 for f in K._region_rows):
         raise PreconditionError("start point lies outside the region")
     steps = []
     remaining = t
@@ -367,7 +407,7 @@ def cells(K: CellComplex) -> tuple:
             for s in (LT, EQ, GT):
                 if s == cur:
                     continue
-                eqs, gts = _pattern_constraints(K, pattern + (s,))
+                eqs, gts = _pattern_constraints(K.functionals, pattern + (s,))
                 found = strict_feasible(eqs, [], gts, K.n)
                 if found is not None:
                     grown.append((pattern + (s,), found))
@@ -459,5 +499,9 @@ def lipschitz_bound(K: CellComplex) -> Fraction:
 
 def xi_value(K: CellComplex, index: int, x) -> Fraction:
     """Value of the indexed preserved function at a finite point."""
+    if isinstance(index, bool) or not isinstance(index, int) or not 0 <= index < len(K.xis):
+        raise PreconditionError(
+            f"xi index {index!r} is out of range: the complex has {len(K.xis)} xis"
+        )
     alpha, c = K.xis[index]
     return dot(alpha, _finite_coords(K.point(x))) - c

@@ -5,13 +5,14 @@ Vectors are tuples of Fraction.  Constraint systems are given as
 inequalities mean coeffs . x >= rhs.  Everything is exact; the simplex
 uses Bland's rule, so it terminates on every input.  Row reduction and
 the simplex pivot on integer rows with one denominator each and convert
-to Fraction only at their results.
+to Fraction only at their results.  Cones are built by the double
+description method on primitive integer rows and rays: one constraint at
+a time, with the combinatorial adjacency test on tight-row sets.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, lcm
 from typing import Sequence
 
@@ -34,11 +35,32 @@ def _norm(row: list, den: int) -> tuple:
     return [v // g for v in row], den // g
 
 
+def over_common_denominator(values: Sequence) -> tuple:
+    """Exact rationals as (integer list, d): the values times d, their
+    least common denominator."""
+    ratios = [
+        (v if isinstance(v, (int, Fraction)) else Fraction(v)).as_integer_ratio()
+        for v in values
+    ]
+    den = lcm(*(q for _, q in ratios))
+    return [p * (den // q) for p, q in ratios], den
+
+
 def _int_row(values: Sequence) -> tuple:
-    """Exact rationals as (integer row, positive denominator)."""
-    fr = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
-    den = lcm(*(v.denominator for v in fr))
-    return _norm([v.numerator * (den // v.denominator) for v in fr], den)
+    """Exact rationals as (integer row, positive denominator) in lowest terms."""
+    return _norm(*over_common_denominator(values))
+
+
+def _primitive(ints) -> tuple:
+    """An integer vector divided by the gcd of its entries."""
+    g = gcd(*ints)
+    return tuple(v // g for v in ints) if g > 1 else tuple(ints)
+
+
+def integer_row(values: Sequence) -> tuple:
+    """The primitive integer vector on the ray of a rational vector: the
+    values times the lcm of their denominators, divided by their gcd."""
+    return _primitive(over_common_denominator(values)[0])
 
 
 def _pivot(rows: list, r: int, col: int) -> None:
@@ -91,15 +113,6 @@ def nullspace(rows: Sequence, width: int) -> list:
             vec[p] = -row[f]
         basis.append(tuple(vec))
     return basis
-
-
-def reduce_against(basis_rref: Sequence, pivots: Sequence, v: Sequence) -> tuple:
-    out = list(map(Fraction, v))
-    for row, p in zip(basis_rref, pivots):
-        if out[p] != 0:
-            f = out[p]
-            out = [a - f * b for a, b in zip(out, row)]
-    return tuple(out)
 
 
 def canonical_ray(v: Sequence) -> tuple:
@@ -212,29 +225,79 @@ def strict_feasible(eqs: Sequence, ges: Sequence, gts: Sequence, n: int):
     return point[:n]
 
 
+def _int_dot(a: Sequence, b: Sequence) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _int_rows(rows: Sequence) -> list:
+    return [row if all(type(v) is int for v in row) else integer_row(row) for row in rows]
+
+
+def _combine(a: int, u: tuple, b: int, v: tuple) -> tuple:
+    """The primitive integer vector on the ray of a*u + b*v."""
+    return _primitive([a * x + b * y for x, y in zip(u, v)])
+
+
 def cone_generators(eqs: Sequence, ges: Sequence, n: int) -> tuple:
     """Lineality basis and extreme rays of {x : eqs . x = 0, ges . x >= 0}.
 
-    Ray representatives are canonical up to positive scaling and modulo
-    the lineality space; every ray r satisfies ges . r >= 0.
+    Double description (Motzkin, Raiffa, Thompson & Thrall 1953; Fukuda &
+    Prodon 1996): start from the lineality space Q^n and add the rows one
+    at a time.  A row that some lineality vector l0 does not annihilate
+    is met by projecting along l0; an inequality then adds l0, oriented
+    into the half-space, as a new ray.  Otherwise the rays split by the
+    sign of their product with the row, and each adjacent (+, -) pair
+    gives a ray on the row's hyperplane.  Two rays are adjacent iff no
+    third ray is tight on every row both are tight on.  Rays are primitive
+    integer vectors; a row of ints is used as it is, any other row is
+    scaled to its primitive integer row.
+
+    lin is nullspace(eqs + ges).  The rays are sorted, each reduced modulo
+    lin and scaled so its first nonzero entry is +-1; every ray r
+    satisfies ges . r >= 0.
     """
-    E = [tuple(map(Fraction, row)) for row in eqs]
-    G = [tuple(map(Fraction, row)) for row in ges]
-    lin = nullspace(E + G, n)
-    lin_rref, lin_piv = _rref(lin, n)
-    # a ray is cut out by E and k rows of G independent modulo E; a larger
-    # subset has the row space, hence the RREF and candidate, of k of them
-    k = n - len(lin) - 1 - rank(E, n)
-    rays = {}
-    for S in combinations(range(len(G)), k) if k >= 0 else ():
-        ns = nullspace(E + [G[j] for j in S], n)
-        if len(ns) != len(lin) + 1:
+    E = _int_rows(eqs)
+    rows = E + _int_rows(ges)
+    basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    rays = []  # (ray, bit mask of the rows tight on it)
+    for k, row in enumerate(rows):
+        bit, is_eq = 1 << k, k < len(E)
+        prods = [_int_dot(row, l) for l in basis]
+        piv = next((i for i, v in enumerate(prods) if v), None)
+        if piv is not None:
+            l0, p0 = basis.pop(piv), prods.pop(piv)
+            if p0 < 0:
+                l0, p0 = tuple(-v for v in l0), -p0
+            basis = [_combine(p0, l, -v, l0) if v else l for l, v in zip(basis, prods)]
+            moved = []
+            for r, z in rays:
+                v = _int_dot(row, r)
+                moved.append((_combine(p0, r, -v, l0) if v else r, z | bit))
+            rays = moved
+            if not is_eq:
+                # l0 was lineality, so it is tight on every earlier row
+                rays.append((l0, bit - 1))
             continue
-        # lin lies in ns, so some basis vector of ns reduces to nonzero
-        reduced = (reduce_against(lin_rref, lin_piv, v) for v in ns)
-        cand = next(red for red in reduced if any(x != 0 for x in red))
-        for r in (cand, tuple(-x for x in cand)):
-            if all(dot(g, r) >= 0 for g in G):
-                rays[canonical_ray(r)] = None
-                break
-    return lin, list(rays)
+        signed = [(r, z, _int_dot(row, r)) for r, z in rays]
+        kept = [(r, z | bit) for r, z, v in signed if v == 0]
+        if not is_eq:
+            kept += [(r, z) for r, z, v in signed if v > 0]
+        for p, zp, vp in signed:
+            if vp <= 0:
+                continue
+            for q, zq, vq in signed:
+                if vq >= 0:
+                    continue
+                common = zp & zq
+                # adjacent: no ray but p and q is tight on all of common
+                if sum((z & common) == common for _, z in rays) == 2:
+                    kept.append((_combine(vp, q, -vq, p), common | bit))
+        rays = kept
+    lin = nullspace(rows, n)
+    out = [list(map(Fraction, r)) for r, _ in rays]
+    if lin and out:
+        # the representative modulo lin with zeros at the pivots of its RREF
+        lin_rref, pivots = _rref(lin, n)
+        for row, p in zip(lin_rref, pivots):
+            out = [[a - v[p] * b for a, b in zip(v, row)] if v[p] else v for v in out]
+    return lin, sorted(canonical_ray(v) for v in out)

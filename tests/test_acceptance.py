@@ -345,6 +345,34 @@ def test_criterion_07_gflow_laws():
     assert time.perf_counter() - start < 30.0
 
 
+def test_criterion_07_one_nullspace_per_cone(monkeypatch):
+    # double description takes one nullspace per cone, for its lineality
+    # space; the subset enumerator took one per rank-sized row subset
+    from berkline import polyhedra
+
+    calls = {"cone_generators": 0, "nullspace": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, call)
+
+    counted(gflow, "cone_generators")
+    counted(polyhedra, "nullspace")
+    rng = random.Random(777)
+    for K0 in _gflow_instances():
+        # a fresh complex: the shared instances may have filled their memos
+        K = gflow.CellComplex(K0.w, K0.h, K0.functionals, K0.xis, K0.region)
+        for _ in range(20):
+            flow(K, INF, _random_start(K, rng))
+    assert calls["cone_generators"] >= 100, calls
+    assert calls["nullspace"] <= calls["cone_generators"], calls
+
+
 def test_criterion_08_compact_core_bounds():
     rng = random.Random(808)
     for K in _gflow_instances():

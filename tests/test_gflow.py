@@ -442,6 +442,78 @@ def test_xi_value():
     assert xi_value(K, 0, res.endpoint) == 1
 
 
+def test_xi_value_checks_its_index():
+    bare = build_complex({"w": ["a", "h"], "h": "h"})
+    with pytest.raises(PreconditionError, match="the complex has 0 xis"):
+        xi_value(bare, 0, [3, 1])
+    for index in (-1, 1, True, False, "0", 0.0, None):
+        with pytest.raises(PreconditionError, match="the complex has 1 xis"):
+            xi_value(PLANE, index, [3, 1])
+
+
+def test_exit_time_reads_direction_as_rationals():
+    K = PLANE
+    cell = locate_cell(K, [3, 1])
+    assert exit_time(K, cell, ("1/2", 0), [3, 1]) == Gamma(4)
+    assert exit_time(K, cell, [Fraction(1, 2), "0"], [3, 1]) == Gamma(4)
+    for bad in ((True, 0), (1, False), (0.5, 0), (None, 0), ("x", 0)):
+        with pytest.raises(PreconditionError):
+            exit_time(K, cell, bad, [3, 1])
+
+
+def exit_by_fractions(K, cell, e, coords):
+    """_exit over the rational functionals, kept as an oracle for the
+    integer rows: the least f(x) / (alpha . e) over the functionals moving
+    toward zero, and the cell entered then."""
+    hits = {}
+    for i, (f, s) in enumerate(zip(K.functionals, cell.pattern)):
+        ae = dot(f.alpha, e)
+        if (ae > 0 and s != "<") or (ae < 0 and s != ">"):
+            hits[i] = (dot(f.alpha, coords) - f.c) / ae
+    if not hits:
+        return INF, cell
+    tau = min(hits.values())
+    pattern = tuple("=" if hits.get(i) == tau else s for i, s in enumerate(cell.pattern))
+    return Gamma(tau), Cell(pattern)
+
+
+def test_integer_rows_match_fraction_functionals():
+    # rational alphas and constants, so the integer rows are true rescalings,
+    # and points and directions with mixed denominators
+    rng = random.Random(1996)
+
+    def q(lo, hi):
+        return Fraction(rng.randint(lo, hi), rng.choice((1, 2, 3, 4, 6)))
+
+    signs = set()
+    entered = 0
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        blocks = [
+            {"alpha": [str(q(-3, 3)) for _ in range(n)], "c": str(q(-2, 2))}
+            for _ in range(rng.randint(1, 5))
+        ]
+        blocks = [b for b in blocks if any(Fraction(a) for a in b["alpha"])]
+        K = build_complex({"w": ["a", "b", "c", "h"][-n:], "h": "h", "functionals": blocks})
+        for _ in range(4):
+            x = tuple(q(-4, 4) for _ in range(n))
+            if rng.random() < 0.3 and K.functionals:
+                # put the point on a hyperplane, so = signs occur
+                f = rng.choice(K.functionals)
+                j = next(j for j, a in enumerate(f.alpha) if a != 0)
+                rest = sum(a * v for k, (a, v) in enumerate(zip(f.alpha, x)) if k != j)
+                x = x[:j] + ((f.c - rest) / f.alpha[j],) + x[j + 1:]
+            cell = locate_cell(K, x)
+            assert cell.pattern == tuple(f.sign(x) for f in K.functionals)
+            signs.update(cell.pattern)
+            e = tuple(q(-3, 3) for _ in range(n))
+            if any(e):
+                got = gflow._exit(K, cell, e, x)
+                assert got == exit_by_fractions(K, cell, e, x), (K.functionals, x, e)
+                entered += got[1] != cell
+    assert signs == {"<", "=", ">"} and entered >= 100, (signs, entered)
+
+
 def core_bounds_all_active(K):
     """core_bounds before the maximal-cell pruning, kept as an oracle:
     every stable cell runs the region test and the objective LPs."""

@@ -16,7 +16,6 @@ from berkline.polyhedra import (
     lp_max,
     nullspace,
     rank,
-    reduce_against,
     strict_feasible,
 )
 
@@ -146,6 +145,40 @@ def test_lp_optimum_is_feasible_and_tight(cons, obj):
         assert dot(V(*obj), pt) == val
 
 
+def reduce_against(basis_rref, pivots, v):
+    out = list(map(Fraction, v))
+    for row, p in zip(basis_rref, pivots):
+        if out[p] != 0:
+            f = out[p]
+            out = [a - f * b for a, b in zip(out, row)]
+    return tuple(out)
+
+
+def cone_generators_by_subsets(eqs, ges, n):
+    """cone_generators before double description, kept as an oracle: a
+    nullspace for every rank-sized row subset, rays in subset order."""
+    E = [tuple(map(Fraction, row)) for row in eqs]
+    G = [tuple(map(Fraction, row)) for row in ges]
+    lin = nullspace(E + G, n)
+    lin_rref, lin_piv = _rref(lin, n)
+    # a ray is cut out by E and k rows of G independent modulo E; a larger
+    # subset has the row space, hence the RREF and candidate, of k of them
+    k = n - len(lin) - 1 - rank(E, n)
+    rays = {}
+    for S in combinations(range(len(G)), k) if k >= 0 else ():
+        ns = nullspace(E + [G[j] for j in S], n)
+        if len(ns) != len(lin) + 1:
+            continue
+        # lin lies in ns, so some basis vector of ns reduces to nonzero
+        reduced = (reduce_against(lin_rref, lin_piv, v) for v in ns)
+        cand = next(red for red in reduced if any(x != 0 for x in red))
+        for r in (cand, tuple(-x for x in cand)):
+            if all(dot(g, r) >= 0 for g in G):
+                rays[canonical_ray(r)] = None
+                break
+    return lin, list(rays)
+
+
 def cone_generators_all_sizes(eqs, ges, n):
     """The subset enumerator over every size 0..n, kept as an oracle."""
     E = [tuple(map(Fraction, row)) for row in eqs]
@@ -202,16 +235,68 @@ def test_cone_generators_matches_all_sizes_oracle():
     for _ in range(400):
         eqs, ges, n = random_cone(rng)
         lin, rays = cone_generators(eqs, ges, n)
-        assert (lin, rays) == cone_generators_all_sizes(eqs, ges, n), (eqs, ges, n)
+        want_lin, want_rays = cone_generators_all_sizes(eqs, ges, n)
+        assert (lin, rays) == (want_lin, sorted(want_rays)), (eqs, ges, n)
         kinds["lineality"] += bool(lin)
         kinds["rays"] += bool(rays)
         kinds["pinned"] += not lin and not rays
     assert min(kinds.values()) >= 20, kinds
 
 
+def random_dd_cone(rng):
+    """Up to 10 rows in Q^n, n <= 6, with rational entries: hidden
+    equalities, positively scaled duplicate rows, pinned cones and
+    cones with a lineality space."""
+    n = rng.randint(1, 6)
+
+    def row():
+        return tuple(Fraction(rng.choice((-1, 0, 0, 1, 1, 2)), rng.choice((1, 1, 2, 3))) for _ in range(n))
+
+    eqs = [row() for _ in range(rng.choice((0, 0, 0, 1, 2)))]
+    ges = [row() for _ in range(rng.randint(0, 8 - len(eqs)))]
+    kind = rng.randrange(5)
+    if kind == 1 and ges:
+        ges.append(tuple(-x for x in rng.choice(ges)))
+    elif kind == 2 and ges:
+        k = Fraction(rng.choice((2, 3, 5)), rng.choice((1, 2)))
+        ges.append(tuple(k * x for x in rng.choice(ges)))
+    elif kind == 3:
+        eqs = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+    elif kind == 4:
+        ges = ges[: rng.randint(0, n - 1)]
+    rng.shuffle(ges)
+    return eqs, ges[: 10 - len(eqs)], n
+
+
+def test_cone_generators_matches_subset_oracle():
+    rng = random.Random(1953)
+    kinds = {"lineality": 0, "rays": 0, "pinned": 0, "lineality and rays": 0}
+    for _ in range(600):
+        eqs, ges, n = random_dd_cone(rng)
+        lin, rays = cone_generators(eqs, ges, n)
+        want_lin, want_rays = cone_generators_by_subsets(eqs, ges, n)
+        assert lin == want_lin, (eqs, ges, n)
+        assert rays == sorted(want_rays), (eqs, ges, n)
+        # integer rows give the same answer as the rationals they scale
+        ints = [[polyhedra.integer_row(r) for r in rows] for rows in (eqs, ges)]
+        assert cone_generators(*ints, n) == (lin, rays)
+        kinds["lineality"] += bool(lin)
+        kinds["rays"] += bool(rays)
+        kinds["pinned"] += not lin and not rays
+        kinds["lineality and rays"] += bool(lin) and bool(rays)
+    assert min(kinds.values()) >= 40, kinds
+
+
+def test_integer_row():
+    assert polyhedra.integer_row(V("2/3", -4, 0)) == (1, -6, 0)
+    assert polyhedra.integer_row(V("-1/2", "1/3")) == (-3, 2)
+    assert polyhedra.integer_row(V(0, 0)) == (0, 0)
+    assert polyhedra.over_common_denominator(V("1/2", 3, "-1/6")) == ([3, 18, -1], 6)
+
+
 def test_cone_generators_nullspace_count(monkeypatch):
-    # pointed cone in R^6 with 10 rows: k = 5, so one lineality nullspace
-    # plus C(10, 5) subsets; every size 0..6 would take 1 + 848
+    # pointed cone in R^6 with 10 rows: one nullspace for the lineality
+    # space; the subset enumerator took 1 + C(10, 5) = 253
     units = [V(*(int(i == j) for j in range(6))) for i in range(6)]
     ges = list(units)
     ges += [(1, 1, 0, 0, 0, 0), (0, 1, 1, 0, 0, 0), (0, 0, 1, 1, 1, 0), (1, 0, 0, 0, 1, 1)]
@@ -224,8 +309,8 @@ def test_cone_generators_nullspace_count(monkeypatch):
 
     monkeypatch.setattr(polyhedra, "nullspace", counted)
     lin, rays = cone_generators([], ges, 6)
-    assert len(calls) == 253
-    assert lin == [] and sorted(rays) == sorted(units)
+    assert len(calls) <= 1
+    assert lin == [] and rays == sorted(units)
 
 
 # The Fraction simplex and row reduction that the integer-row pivot
