@@ -27,18 +27,27 @@ from .spec import FIELD, walk
 __all__ = ["PAdicField", "TAdicField", "RatFunc", "ValuedField", "field_from_json"]
 
 
+_ONE = (Fraction(1),)
+
+
 class RatFunc:
     """A reduced rational function in t over Q with monic denominator."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: Sequence[Rational] = (), den: Sequence[Rational] = (1,)):
-        n = trim(tuple(Fraction(x) for x in num))
-        d = trim(tuple(Fraction(x) for x in den))
+        n = trim(tuple(x if type(x) is Fraction else Fraction(x) for x in num))
+        d = trim(tuple(x if type(x) is Fraction else Fraction(x) for x in den))
         if not d:
             raise ZeroDivisionError("rational function with zero denominator")
         if not n:
-            self.num, self.den = (), (Fraction(1),)
+            self.num, self.den = (), _ONE
+            return
+        if len(d) == 1:
+            # a constant denominator has gcd 1 with every numerator
+            lead = d[0]
+            self.num = n if lead == 1 else tuple(x / lead for x in n)
+            self.den = _ONE
             return
         g = poly_gcd(n, d)
         if len(g) > 1:
@@ -72,12 +81,18 @@ class RatFunc:
     def __hash__(self) -> int:
         return hash((self.num, self.den))
 
+    def _combine(self, o: "RatFunc", onum: Sequence) -> "RatFunc":
+        """self + onum / o.den; equal denominators add the numerators as they are."""
+        if self.den == o.den:
+            return RatFunc(poly_add(self.num, onum), self.den)
+        num = poly_add(poly_mul(self.num, o.den), poly_mul(onum, self.den))
+        return RatFunc(num, poly_mul(self.den, o.den))
+
     def __add__(self, other):
         o = RatFunc._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        num = poly_add(poly_mul(self.num, o.den), poly_mul(o.num, self.den))
-        return RatFunc(num, poly_mul(self.den, o.den))
+        return self._combine(o, o.num)
 
     __radd__ = __add__
 
@@ -88,10 +103,13 @@ class RatFunc:
         o = RatFunc._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self + (-o)
+        return self._combine(o, poly_neg(o.num))
 
     def __rsub__(self, other):
-        return (-self) + other
+        o = RatFunc._coerce(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return o - self
 
     def __mul__(self, other):
         o = RatFunc._coerce(other)
@@ -165,7 +183,7 @@ class RatFunc:
                     parts.append(f"{x}*t^{i}" if x != 1 else f"t^{i}")
             return " + ".join(parts)
 
-        if self.den == (Fraction(1),):
+        if self.den == _ONE:
             return f"RatFunc({side(self.num)})"
         return f"RatFunc(({side(self.num)})/({side(self.den)}))"
 
@@ -352,7 +370,7 @@ class TAdicField:
 
     def elem_to_json(self, a):
         a = self.coerce(a)
-        if a.den == (Fraction(1),) and len(a.num) <= 1:
+        if a.den == _ONE and len(a.num) <= 1:
             return str(a.num[0]) if a.num else "0"
         return {
             "num": [str(c) for c in a.num],

@@ -101,7 +101,7 @@ class Gamma:
     def _key(self) -> tuple:
         # inf sorts above every rational
         if self._value is None:
-            return (1, Fraction(0))
+            return _INF_KEY
         return (0, self._value)
 
     def __eq__(self, other: object) -> bool:
@@ -134,6 +134,10 @@ class Gamma:
 
     def __repr__(self) -> str:
         return f"Gamma({str(self)!r})"
+
+
+# one key for every inf: `_key` orders radii in the ball tree's inner loops
+_INF_KEY = (1, Fraction(0))
 
 
 def _coerce(x: "Gamma | Rational") -> Gamma:

@@ -30,6 +30,7 @@ cell is stable, and every flow at finite height stops with that error.
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
@@ -233,6 +234,8 @@ def _per_cell(fn):
 
     @wraps(fn)
     def memoized(K: CellComplex, cell: Cell):
+        if not (isinstance(cell, Cell) and isinstance(cell.pattern, tuple)):
+            raise PreconditionError(f"expected a Cell with a tuple sign pattern, got {cell!r}")
         key = (fn, cell.pattern)
         if key not in K._memo:
             K._memo[key] = fn(K, cell)
@@ -319,6 +322,8 @@ def exit_time(K: CellComplex, cell: Cell, e: Sequence, x) -> Gamma:
     coords = _finite_coords(K.point(x))
     if locate_cell(K, coords) != cell:
         raise PreconditionError("point does not lie in the given cell")
+    if not isinstance(e, abc.Sequence) or isinstance(e, str):
+        raise PreconditionError(f"direction must be a sequence, got {type(e).__name__}")
     e = tuple(map(rational, e))
     if len(e) != K.n:
         raise PreconditionError(f"direction has {len(e)} coordinates, the complex has {K.n}")

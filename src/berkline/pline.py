@@ -7,8 +7,13 @@ val(z - center) >= radius; radius ``inf`` cuts the ball down to the single
 value z = center, a simple point.  The simple point at infinity is
 ``(inv, 0, inf)``.
 
-Different raw triples can describe one and the same point; :func:`depth`
-and :func:`join` read any of them as a ball in the x coordinate.  The
+Different raw triples can describe one and the same point.  Inside the
+module every operation reads its arguments as balls in the x coordinate
+(x-balls, each carrying the valuation of its center) and computes on those:
+:func:`depth`, :func:`join`, :func:`metric_d`, :func:`rho` and
+:func:`skeleton_contains` take depths of x-ball joins without normalizing
+anything, and :func:`skeleton` normalizes each vertex once.  ``PLinePoint``
+is the boundary type: what the public functions take and return.  The
 canonical form puts a ball in the std chart whenever it meets the closed
 unit disk: balls containing 0 become ``(std, 0, r)`` (with r < 0 when the
 ball straddles the unit circle), and balls of units keep a truncated
@@ -21,7 +26,10 @@ median of two points and the root, :func:`psi` flows a point toward the
 root, and :func:`rho`, :func:`psi_divisor`, :func:`retract` and
 :func:`skeleton` implement the deformation retraction onto the subtree
 spanned by a divisor together with the root, the union of the paths from
-the divisor points to the root.
+the divisor points to the root.  :func:`skeleton_contains` reads a tree's
+edges as the paths from its childless vertices up to its root vertex, so it
+needs a tree whose every vertex lies below its parent in this order, as
+:func:`skeleton` builds them.
 """
 
 from __future__ import annotations
@@ -86,7 +94,8 @@ def infinity_point(field) -> PLinePoint:
 
 def simple_point(field, value) -> PLinePoint:
     """The normalized simple point with the given x-coordinate value."""
-    return _from_xball(field, (field.coerce(value), INF))
+    c = field.coerce(value)
+    return _from_xball(field, (c, INF, field.val(c)))
 
 
 def read_point(field, v) -> PLinePoint:
@@ -103,9 +112,10 @@ def read_point(field, v) -> PLinePoint:
 
 
 # Internal representation: every point except the simple point at infinity
-# is an x-chart ball (center, radius) with radius in Q union {inf}; negative
-# radii encode balls properly containing the unit disk.  The simple point at
-# infinity gets a sentinel.
+# is an x-chart ball (center, radius, val(center)) with radius in Q union
+# {inf}; negative radii encode balls properly containing the unit disk.  The
+# valuation of the center rides along, so depths and the wedges with the
+# Gauss ball need none.  The simple point at infinity gets a sentinel.
 
 _AT_INFINITY = "at-infinity"
 
@@ -117,29 +127,29 @@ def _as_xball(field, p: PLinePoint):
         raise PreconditionError(f"unknown chart {p.chart!r}")
     radius = as_gamma(p.radius)
     c = field.coerce(p.center)
+    v = field.val(c)
     if p.chart == STD:
-        return (c, radius)
+        return (c, radius, v)
     # inv chart: a ball in the coordinate y = 1/x
     if radius.is_inf:
-        if c == field.zero:
+        if v.is_inf:
             return _AT_INFINITY
-        return (field.one / c, INF)
-    if field.val(c) >= radius:
+        return (field.one / c, INF, -v)
+    if v >= radius:
         # the y-ball contains y = 0; as a point it sits on the segment
         # between the Gauss point and infinity, at x-radius -radius
-        return (field.zero, -radius)
-    return (field.one / c, radius - 2 * field.val(c).finite)
+        return (field.zero, -radius, INF)
+    return (field.one / c, radius - 2 * v.finite, -v)
 
 
 def _from_xball(field, xb) -> PLinePoint:
-    if xb == _AT_INFINITY:
+    if xb is _AT_INFINITY:
         return PLinePoint(INV, field.zero, INF)
-    c, r = xb
+    c, r, v = xb
     if r.is_inf:
-        if field.val(c) >= 0:
+        if v >= 0:
             return PLinePoint(STD, c, INF)
         return PLinePoint(INV, field.one / c, INF)
-    v = field.val(c)
     if v >= r:
         # the ball contains 0; includes every ball with r < 0
         return PLinePoint(STD, field.zero, r)
@@ -167,41 +177,54 @@ def depth(field, p: PLinePoint) -> Gamma:
     ball in the unit disk, -r for a ball around 0 of negative radius, and
     the y-radius r - 2 val c for a ball outside the unit disk.
     """
-    xb = _as_xball(field, p)
-    if xb == _AT_INFINITY or xb[1].is_inf:
+    return _xdepth(_as_xball(field, p))
+
+
+_ZERO = Gamma(0)
+
+
+def _xdepth(xb) -> Gamma:
+    if xb is _AT_INFINITY or xb[1].is_inf:
         return INF
-    c, r = xb
-    return r - gmin([0, field.val(c), r]).scale(2)
+    _, r, v = xb
+    return r - min(_ZERO, v, r, key=Gamma._key).scale(2)
 
 
-# Wedge in the tree rooted at infinity: the smallest x-chart ball containing
-# both arguments.  The root sentinel sits above every ball.
+def _gauss_wedge(xb):
+    """The smallest x-ball containing xb and the Gauss ball."""
+    c, r, v = xb
+    return (c, min(r, _ZERO, v, key=Gamma._key), v)
 
-_ROOT = "above-everything"
 
+def _xjoin(field, a, b):
+    """The join of two x-balls as an x-ball, not normalized.
 
-def _wedge(field, a, b):
-    if a == _AT_INFINITY or b == _AT_INFINITY:
-        return _ROOT
-    (c1, r1), (c2, r2) = a, b
-    return (c1, gmin([r1, r2, field.val(c1 - c2)]))
+    Of the three wedges (smallest x-balls containing two of a, b and the
+    Gauss ball) it is the one of largest radius; the wedge with infinity is
+    no ball.  Any two wedges share a point, so wedges of equal radius are
+    one ball, and the wedge of a and b is only needed when both radii exceed
+    the Gauss wedges' radii.
+    """
+    if a is _AT_INFINITY:
+        return a if b is _AT_INFINITY else _gauss_wedge(b)
+    if b is _AT_INFINITY:
+        return _gauss_wedge(a)
+    ga, gb = _gauss_wedge(a), _gauss_wedge(b)
+    best = ga if ga[1] >= gb[1] else gb
+    (c1, r1, v1), (c2, r2, _) = a, b
+    r = min(r1, r2, key=Gamma._key)
+    if r > best[1]:
+        r = min(r, field.val(c1 - c2), key=Gamma._key)
+        if r > best[1]:
+            return (c1, r, v1)
+    return best
 
 
 def join(field, x: PLinePoint, y: PLinePoint) -> PLinePoint:
     """The median of x, y and the Gauss point: where the paths from x and y
     toward the root meet.  Equals the smallest ball containing both when
     that ball meets the closed unit disk of one of the charts."""
-    xa = _as_xball(field, x)
-    xb = _as_xball(field, y)
-    if xa == _AT_INFINITY and xb == _AT_INFINITY:
-        return infinity_point(field)
-    xg = (field.zero, Gamma(0))
-    wedges = [_wedge(field, xa, xb), _wedge(field, xa, xg), _wedge(field, xb, xg)]
-    balls = [w for w in wedges if w != _ROOT]
-    # at least one wedge involves the Gauss ball and is a true ball; any two
-    # wedges share a point, so wedges of equal radius are one ball
-    best = max(balls, key=lambda w: w[1]._key())
-    return _from_xball(field, best)
+    return _from_xball(field, _xjoin(field, _as_xball(field, x), _as_xball(field, y)))
 
 
 def metric_d(field, x: PLinePoint, y: PLinePoint) -> Gamma:
@@ -210,9 +233,10 @@ def metric_d(field, x: PLinePoint, y: PLinePoint) -> Gamma:
     both lie outside the open unit disk, 0 when the valuations have
     strictly different signs; d(x, x) = inf.
     """
-    if not (depth(field, x).is_inf and depth(field, y).is_inf):
+    xa, xb = _as_xball(field, x), _as_xball(field, y)
+    if not (_xdepth(xa).is_inf and _xdepth(xb).is_inf):
         raise PreconditionError("metric_d is defined on simple points only")
-    return depth(field, join(field, x, y))
+    return _xdepth(_xjoin(field, xa, xb))
 
 
 def psi(field, t, a: PLinePoint) -> PLinePoint:
@@ -238,7 +262,8 @@ def rho(field, a: PLinePoint, divisor: Sequence[PLinePoint]) -> Gamma:
     spanned by the divisor and the root: max over d of depth(join(a, d))."""
     if not divisor:
         raise PreconditionError("rho needs a nonempty divisor")
-    return gmax([depth(field, join(field, a, d)) for d in divisor])
+    xa = _as_xball(field, a)
+    return gmax([_xdepth(_xjoin(field, xa, _as_xball(field, d))) for d in divisor])
 
 
 def psi_divisor(field, t, a: PLinePoint, divisor: Sequence[PLinePoint]) -> PLinePoint:
@@ -276,8 +301,8 @@ def gauss_val(field, coeffs: Sequence, p: PLinePoint) -> Gamma:
     return gmin([field.val(b) + Gamma(i * r) for i, b in enumerate(shifted)])
 
 
-def _point_sort_key(field, p: PLinePoint):
-    g = depth(field, p)
+def _point_sort_key(field, p: PLinePoint, g: Gamma):
+    """Depth ``g`` of ``p`` first, so a sorted root path runs root first."""
     return (g._key(), 0 if p.chart == STD else 1, field.sort_key(p.center), as_gamma(p.radius)._key())
 
 
@@ -286,10 +311,16 @@ def skeleton(field, divisor: Sequence[PLinePoint], labels: Optional[Sequence[str
 
     It is the union of the paths from the divisor points to the root.  The
     vertices on the path above a divisor point a are a, the Gauss point and
-    the joins join(a, b) with the other divisor points; ordered by depth,
-    each is the parent of the next.  An edge's length is the depth
-    difference (``inf`` into simple points).  Divisor labels become vertex
-    tags; default labels are the list positions as strings.
+    the joins join(a, b) with the other divisor points.  On one path a
+    vertex is fixed by its depth, and ordered by depth each is the parent
+    of the next.  The vertex of depth g above a lies above b too iff g is at
+    most the depth of join(a, b), so g and the first divisor point below the
+    vertex name it.  The pairwise joins stay x-balls; each vertex is
+    normalized once, one that is neither a divisor point nor the Gauss point
+    by one call of :func:`join`.
+    An edge's length is the depth difference (``inf`` into simple points).
+    Divisor labels become vertex tags; default labels are the list
+    positions as strings.
     """
     if not divisor:
         raise PreconditionError("skeleton needs a nonempty divisor")
@@ -298,56 +329,84 @@ def skeleton(field, divisor: Sequence[PLinePoint], labels: Optional[Sequence[str
     if len(labels) != len(divisor):
         raise PreconditionError("one label per divisor point required")
 
-    normalized = [normalize_point(field, d) for d in divisor]
-    gauss = gauss_point(field)
-    # above[a] is the set of vertices on the path from a to the root: a
-    # vertex join(b, c) above a equals join(a, b) or join(a, c)
-    above = {a: {a, gauss} for a in normalized}
-    for a, b in combinations(above, 2):
-        j = join(field, a, b)
-        above[a].add(j)
-        above[b].add(j)
+    # each distinct divisor point once, as an x-ball
+    first: dict = {}
+    slot = [first.setdefault(_as_xball(field, d), len(first)) for d in divisor]
+    xs = list(first)
+    described = dict(zip(slot, divisor))  # a divisor entry for each x-ball
 
-    order = sorted(set().union(*above.values()), key=lambda q: _point_sort_key(field, q))
-    index = {q: i for i, q in enumerate(order)}
+    # paths[i]: depth -> (an x-ball of the vertex of that depth above point
+    # i, the pair of points it joins or None);
+    # lows[i]: depth g -> the first point j whose join with i has depth g
+    # (combinations meets each i's partners in increasing order)
+    paths = [{_ZERO: ((field.zero, _ZERO, INF), None), _xdepth(xb): (xb, None)} for xb in xs]
+    lows: list[dict] = [{} for _ in xs]
+    for i, j in combinations(range(len(xs)), 2):
+        xb = _xjoin(field, xs[i], xs[j])
+        g = _xdepth(xb)
+        paths[i].setdefault(g, (xb, (i, j)))
+        paths[j].setdefault(g, (xb, (i, j)))
+        lows[i].setdefault(g, j)
+        lows[j].setdefault(g, i)
 
-    parent: list[Optional[int]] = [None] * len(order)
-    for path in above.values():
-        # the sort key puts depth first, so a sorted path runs root first
-        chain = sorted(index[q] for q in path)
-        for up, down in zip(chain, chain[1:]):
-            parent[down] = up
-    depths = [depth(field, q) for q in order]
-    lengths = [None if up is None else depths[i] - depths[up] for i, up in enumerate(parent)]
+    vertex: dict = {}  # (first divisor point below, depth) -> (x-ball, pair)
+    parent_of: dict = {}
+    own = []  # the vertex of each divisor point
+    for i, path in enumerate(paths):
+        low = i
+        chain = []
+        for g in sorted(path, key=Gamma._key, reverse=True):
+            # the points below the vertex of depth g are those whose join
+            # with i has depth g or more
+            low = min(low, lows[i].get(g, i))
+            vertex.setdefault((low, g), path[g])
+            chain.append((low, g))
+        own.append(chain[0])
+        for down, up in zip(chain, chain[1:]):
+            parent_of[down] = up
+
+    # a vertex that only a join names comes out of the public join
+    points = {
+        key: _from_xball(field, xb) if pair is None else join(field, described[pair[0]], described[pair[1]])
+        for key, (xb, pair) in vertex.items()
+    }
+    order = sorted(points, key=lambda key: _point_sort_key(field, points[key], key[1]))
+    index = {key: i for i, key in enumerate(order)}
+    parent = [index[parent_of[key]] if key in parent_of else None for key in order]
+    lengths = [key[1] - parent_of[key][1] if key in parent_of else None for key in order]
 
     tags: list[tuple[str, ...]] = [()] * len(order)
-    for label, q in zip(labels, normalized):
-        i = index[q]
+    for label, s in zip(labels, slot):
+        i = index[own[s]]
         tags[i] = tags[i] + (label,)
 
     return MetricTree(
-        points=tuple(order),
+        points=tuple(points[key] for key in order),
         parent=tuple(parent),
         lengths=tuple(lengths),
         tags=tuple(tags),
-        root=index[gauss],
+        root=index[(0, _ZERO)],
     )
 
 
 def skeleton_contains(field, tree: MetricTree, p: PLinePoint) -> bool:
     """Exact membership of a point in the union of the tree's edges.
 
-    True when the point is a vertex or lies on the path between a vertex
-    and its parent, infinite stretches toward simple leaves included.
+    The tree's vertices must be points with each vertex below its parent in
+    the tree order rooted at the Gauss point, as :func:`skeleton` builds
+    them.  The edges then cover exactly the paths from the childless
+    vertices up to the root vertex, infinite stretches toward simple leaves
+    included, so ``p`` lies on them iff it lies below the root vertex and
+    above some childless vertex l, that is iff join(p, l) has the depth of
+    ``p``.  A simple point passes only as a childless vertex itself.
     """
-    q = normalize_point(field, p)
-    if q in tree.points:
-        return True
-    for i, v in enumerate(tree.points):
-        u_idx = tree.parent[i]
-        if u_idx is None:
-            continue
-        u = tree.points[u_idx]
-        if join(field, u, q) == u and join(field, q, v) == q:
-            return True
-    return False
+    xp = _as_xball(field, p)
+    xr = _as_xball(field, tree.points[tree.root])
+    if _xdepth(_xjoin(field, xp, xr)) != _xdepth(xr):
+        return False
+    g = _xdepth(xp)
+    return any(
+        _xdepth(_xjoin(field, xp, _as_xball(field, tree.points[i]))) == g
+        for i in range(tree.n)
+        if not tree.children(i)
+    )

@@ -3,12 +3,13 @@
 Vertices carry opaque payloads (ball-model points, or plain labels) plus a
 tuple of string tags; every non-root vertex stores its parent and the length
 of the connecting edge, an element of Q union {inf}.  The structure is
-immutable; consumers derive children lists on demand.
+immutable; the child lists are read off the parent pointers in one pass
+when a tree is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import PreconditionError
 from .gamma import Gamma
@@ -31,13 +32,21 @@ class MetricTree:
     lengths: tuple
     tags: tuple
     root: int
+    _children: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        kids: dict = {}
+        for j, p in enumerate(self.parent):
+            if p is not None:
+                kids.setdefault(p, []).append(j)
+        object.__setattr__(self, "_children", {p: tuple(js) for p, js in kids.items()})
 
     @property
     def n(self) -> int:
         return len(self.points)
 
     def children(self, i: int) -> tuple[int, ...]:
-        return tuple(j for j, p in enumerate(self.parent) if p == i)
+        return self._children.get(i, ())
 
     def degree(self, i: int) -> int:
         return len(self.children(i)) + (0 if self.parent[i] is None else 1)

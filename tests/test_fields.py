@@ -21,6 +21,7 @@ from berkline.polys import (
     poly_eval,
     poly_gcd,
     poly_mul,
+    poly_neg,
     taylor_shift,
     trim,
 )
@@ -210,6 +211,85 @@ def test_ratfunc_normal_form():
     assert c.num == (Fraction(1, 2),)
     assert RatFunc((0,)) == 0
     assert not RatFunc((0,))
+
+
+def normal_form_by_gcd(num, den):
+    """(num, den) of a RatFunc as the constructor made it for every
+    denominator before constant denominators skipped the gcd; kept as the
+    oracle for the short-cuts."""
+    n = trim(tuple(Fraction(x) for x in num))
+    d = trim(tuple(Fraction(x) for x in den))
+    if not n:
+        return (), (Fraction(1),)
+    g = poly_gcd(n, d)
+    if len(g) > 1:
+        n = poly_divmod(n, g)[0]
+        d = poly_divmod(d, g)[0]
+    lead = d[-1]
+    return tuple(x / lead for x in n), tuple(x / lead for x in d)
+
+
+def assert_same_ratfunc(a, b):
+    assert (a.num, a.den) == (b.num, b.den)
+    assert all(type(x) is Fraction for x in a.num + a.den)
+    assert a == b and hash(a) == hash(b)
+
+
+def _random_poly(rng, size):
+    return [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(size)]
+
+
+def test_ratfunc_constant_denominator_matches_gcd_path():
+    # RatFunc(n, (c,)) takes no gcd; RatFunc(n g, c g) with g non-constant
+    # must, and both must land on the same normal form
+    rng = random.Random(2020)
+    for _ in range(400):
+        n = _random_poly(rng, rng.randint(0, 4))
+        c = Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))
+        g = _random_poly(rng, rng.randint(2, 3))
+        if not trim(g):
+            g = [Fraction(1), Fraction(1)]
+        short = RatFunc(n, (c,))
+        general = RatFunc(poly_mul(n, g), poly_mul([c], g))
+        assert_same_ratfunc(short, general)
+        assert (short.num, short.den) == normal_form_by_gcd(n, (c,))
+        assert len({short, general}) == 1
+        # ints and Fractions read the same
+        ints = [rng.randint(-4, 4) for _ in range(3)]
+        assert_same_ratfunc(RatFunc(ints, (3,)), RatFunc([Fraction(x) for x in ints], (Fraction(3),)))
+    assert RatFunc((Fraction(2), Fraction(4)), (2,)).num == (Fraction(1), Fraction(2))
+    assert RatFunc((), (7,)).den == (Fraction(1),)
+
+
+def test_ratfunc_sum_and_difference_match_gcd_formulas():
+    # the parent formulas: a + b over the product of the denominators, and
+    # a - b as a + (-b) with -b normalized on its own
+    rng = random.Random(2021)
+
+    def sample():
+        kind = rng.randrange(4)
+        if kind == 0:
+            return RatFunc(_random_poly(rng, rng.randint(0, 4)))
+        den = [Fraction(1), Fraction(0), Fraction(-2)] if kind == 1 else _random_poly(rng, 2)
+        if not trim(den):
+            den = [Fraction(1)]
+        return RatFunc(_random_poly(rng, rng.randint(0, 4)), den)
+
+    def check(got, num, den):
+        assert (got.num, got.den) == normal_form_by_gcd(num, den)
+        assert all(type(x) is Fraction for x in got.num + got.den)
+
+    for _ in range(600):
+        a = sample()
+        # equal denominators half of the time
+        b = RatFunc(_random_poly(rng, 3), a.den) if rng.random() < 0.5 else sample()
+        check(a + b, poly_add(poly_mul(a.num, b.den), poly_mul(b.num, a.den)), poly_mul(a.den, b.den))
+        nb_num, nb_den = normal_form_by_gcd(poly_neg(b.num), b.den)
+        check(a - b, poly_add(poly_mul(a.num, nb_den), poly_mul(nb_num, a.den)), poly_mul(a.den, nb_den))
+        k = rng.randint(-3, 3)
+        check(a - k, poly_add(a.num, poly_mul([-k], a.den)), a.den)
+        check(k - a, poly_add(poly_mul([k], a.den), poly_neg(a.num)), a.den)
+        check(a - a, (), (1,))
 
 
 @given(ratfuncs(), ratfuncs(), ratfuncs())

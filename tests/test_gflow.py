@@ -461,6 +461,27 @@ def test_exit_time_reads_direction_as_rationals():
             exit_time(K, cell, bad, [3, 1])
 
 
+@pytest.mark.parametrize("entry", [classify_D0, cell_dimension, recession_barycenter])
+def test_per_cell_entry_points_refuse_a_bare_pattern(entry):
+    # a pattern tuple or a Cell of a list is not a cell; a Cell of the wrong
+    # length is refused by the pattern check
+    K = PLANE
+    for bad in ((">", ">", ">"), Cell([">", ">", ">"]), Cell((">", ">")), None):
+        with pytest.raises(PreconditionError):
+            entry(K, bad)
+    assert entry(K, Cell((">", ">", ">"))) == entry(K, locate_cell(K, [3, 1]))
+
+
+def test_exit_time_refuses_a_non_sequence_direction():
+    K = PLANE
+    cell = locate_cell(K, [3, 1])
+    for bad in (5, Fraction(1), None, {"a": 1, "h": 0}, iter((1, 0))):
+        with pytest.raises(PreconditionError):
+            exit_time(K, cell, bad, [3, 1])
+    assert exit_time(K, cell, [1, 0], [3, 1]) == exit_time(K, cell, (1, 0), [3, 1])
+    assert exit_time(K, cell, range(1, -1, -1), [3, 1]) == exit_time(K, cell, (1, 0), [3, 1])
+
+
 def exit_by_fractions(K, cell, e, coords):
     """_exit over the rational functionals, kept as an oracle for the
     integer rows: the least f(x) / (alpha . e) over the functionals moving

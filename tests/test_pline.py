@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -27,7 +28,7 @@ from berkline.pline import (
     skeleton_contains,
 )
 from berkline import pline
-from berkline.pline import _AT_INFINITY, _ROOT, _as_xball, _from_xball, _point_sort_key, _wedge
+from berkline.pline import _AT_INFINITY, _as_xball, _from_xball, _point_sort_key
 from berkline.tree import MetricTree
 
 Q5 = PAdicField(5)
@@ -95,7 +96,8 @@ def test_point_with_int_radius():
     assert p.is_simple is False
     assert PLinePoint(STD, 0, Fraction(1, 2)).is_simple is False
     assert PLinePoint(STD, 0, INF).is_simple is True
-    assert _point_sort_key(Q5, p) == _point_sort_key(Q5, PLinePoint(STD, 0, Gamma(3)))
+    q = PLinePoint(STD, 0, Gamma(3))
+    assert _point_sort_key(Q5, p, depth(Q5, p)) == _point_sort_key(Q5, q, depth(Q5, q))
     assert depth(Q5, p) == depth(Q5, PLinePoint(STD, 0, Gamma(3)))
 
 
@@ -470,7 +472,7 @@ def skeleton_by_closure(field, divisor):
                     new.add(j)
         vertices.update(new)
         frontier = list(new)
-    order = sorted(vertices, key=lambda q: _point_sort_key(field, q))
+    order = sorted(vertices, key=lambda q: _point_sort_key(field, q, depth(field, q)))
     index = {q: i for i, q in enumerate(order)}
     root = index[gauss_point(field)]
     parent = [None] * len(order)
@@ -561,6 +563,15 @@ def depth_normalizing(field, p):
     return q.radius if q.radius >= 0 else -q.radius
 
 
+def wedge(field, a, b):
+    """The smallest x-ball (center, radius) containing both; None when one
+    of them is infinity."""
+    if a == _AT_INFINITY or b == _AT_INFINITY:
+        return None
+    (c1, r1), (c2, r2) = a[:2], b[:2]
+    return (c1, min(r1, r2, field.val(c1 - c2), key=Gamma._key))
+
+
 def join_normalizing(field, x, y):
     px = normalize_point(field, x)
     py = normalize_point(field, y)
@@ -569,10 +580,10 @@ def join_normalizing(field, x, y):
     xa = _as_xball(field, px)
     xb = _as_xball(field, py)
     xg = (field.zero, Gamma(0))
-    wedges = [_wedge(field, xa, xb), _wedge(field, xa, xg), _wedge(field, xb, xg)]
-    balls = [w for w in wedges if w != _ROOT]
-    best = max(balls, key=lambda w: w[1]._key())
-    return _from_xball(field, best)
+    wedges = [wedge(field, xa, xb), wedge(field, xa, xg), wedge(field, xb, xg)]
+    balls = [w for w in wedges if w is not None]
+    c, r = max(balls, key=lambda w: w[1]._key())
+    return _from_xball(field, (c, r, field.val(c)))
 
 
 def skeleton_by_ancestor_joins(field, divisor):
@@ -581,7 +592,7 @@ def skeleton_by_ancestor_joins(field, divisor):
     points = set(normalized)
     gauss = gauss_point(field)
     vertices = points | {gauss} | {join_normalizing(field, u, v) for u, v in combinations(points, 2)}
-    order = sorted(vertices, key=lambda q: _point_sort_key(field, q))
+    order = sorted(vertices, key=lambda q: _point_sort_key(field, q, depth(field, q)))
     index = {q: i for i, q in enumerate(order)}
     root = index[gauss]
     parent = [None] * len(order)
@@ -674,9 +685,12 @@ def _count_calls(monkeypatch, name):
 def test_skeleton_joins_each_pair_once(monkeypatch):
     values = [0, 1, 2, 5, 7, 25, Fraction(1, 5), Fraction(3, 25), 126]
     D = [simple_point(Q5, v) for v in values] + [INFTY]
-    calls = _count_calls(monkeypatch, "join")
+    calls = _count_calls(monkeypatch, "_xjoin")
+    joins = _count_calls(monkeypatch, "join")
     tree = skeleton(Q5, D + D[:3])
-    assert len(calls) == 10 * 9 // 2
+    # one public join, and its one _xjoin, per vertex that only a join names
+    assert len(joins) == sum(1 for i in range(tree.n) if not tree.tags[i] and i != tree.root)
+    assert len(calls) - len(joins) == 10 * 9 // 2
     assert tree == skeleton_by_ancestor_joins(Q5, D + D[:3])
 
 
@@ -695,3 +709,120 @@ def test_tree_operations_do_not_normalize(monkeypatch):
         for y in simple:
             metric_d(Q5, x, y)
     assert calls == []
+
+
+# rho and skeleton_contains as they were before the queries read x-balls:
+# rho took the depth of a normalized join per divisor point, and membership
+# scanned every edge with two normalizing joins; kept as oracles
+
+
+def rho_by_joins(field, a, divisor):
+    return max((depth_normalizing(field, join_normalizing(field, a, d)) for d in divisor), key=Gamma._key)
+
+
+def skeleton_contains_by_edges(field, tree, p):
+    q = normalize_point(field, p)
+    if q in tree.points:
+        return True
+    for i, v in enumerate(tree.points):
+        u_idx = tree.parent[i]
+        if u_idx is None:
+            continue
+        u = tree.points[u_idx]
+        if join_normalizing(field, u, q) == u and join_normalizing(field, q, v) == q:
+            return True
+    return False
+
+
+def queries_around_edges(field, tree):
+    """For each edge (u, v): points on it (its ends, an inner point, points
+    down an infinite stretch), above u toward the root, and balls just below
+    v, around v's center and around centers one digit away."""
+    out = []
+    for u_idx, i, length in tree.edges():
+        u, v = tree.points[u_idx], tree.points[i]
+        top, bottom = depth(field, u), depth(field, v)
+        out += [u, v, psi(field, top + 1 if length.is_inf else top + length.finite / 2, v)]
+        if top > 0:
+            out.append(psi(field, top - Fraction(1, 2), v))
+        if not v.radius.is_inf:
+            step = field.uniformizer_pow(math.ceil(v.radius.finite))
+            for s in (0, 1, 2):
+                out.append(PLinePoint(v.chart, field.coerce(v.center) + step * s, v.radius + 1))
+        out.append(PLinePoint(v.chart, v.center, v.radius if v.radius.is_inf else v.radius + 3))
+    return out
+
+
+def assert_queries_match_oracles(field, D, extra):
+    tree = skeleton(field, D)
+    for q in queries_around_edges(field, tree) + list(extra):
+        assert skeleton_contains(field, tree, q) == skeleton_contains_by_edges(field, tree, q), q
+        assert rho(field, q, D) == rho_by_joins(field, q, D), q
+        assert skeleton_contains(field, tree, retract(field, q, D))
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw_divisors(Q5, centers), st.lists(raw_points(Q5, centers), max_size=4))
+def test_queries_match_join_oracles_q5(D, extra):
+    assert_queries_match_oracles(Q5, D, extra)
+
+
+@settings(max_examples=40, deadline=None)
+@given(raw_divisors(QT, tadic_series()), st.lists(raw_points(QT, tadic_series()), max_size=3))
+def test_queries_match_join_oracles_qt(D, extra):
+    assert_queries_match_oracles(QT, D, extra)
+
+
+def test_skeleton_contains_single_vertex_tree():
+    tree = skeleton(Q5, [GAUSS, pt(INV, 1, 0)])
+    assert tree.n == 1
+    assert skeleton_contains(Q5, tree, GAUSS)
+    for q in (ball(0, 1), ball(0, -1), INFTY, simple_point(Q5, 3)):
+        assert not skeleton_contains(Q5, tree, q)
+        assert not skeleton_contains_by_edges(Q5, tree, q)
+
+
+def test_skeleton_contains_stops_at_the_root_vertex():
+    # a hand-built tree rooted below the Gauss point: the path from its leaf
+    # continues above the root, but the tree's edges do not
+    zero, twentyfive = simple_point(Q5, 0), simple_point(Q5, 25)
+    tree = MetricTree(
+        points=(ball(0, 1), ball(0, 2), zero, twentyfive),
+        parent=(None, 0, 1, 1),
+        lengths=(None, Gamma(1), INF, INF),
+        tags=((), (), (), ()),
+        root=0,
+    )
+    tree.validate()
+    queries = [ball(0, Fraction(r, 2)) for r in (0, 1, 2, 3, 4, 10)]
+    for q in queries + [ball(25, 3), zero, ball(5, 2), INFTY]:
+        assert skeleton_contains(Q5, tree, q) == skeleton_contains_by_edges(Q5, tree, q), q
+    assert not skeleton_contains(Q5, tree, GAUSS)
+    assert skeleton_contains(Q5, tree, ball(0, 1))
+
+
+def count_divisor():
+    values = [0, 1, 2, 5, 7, 25, Fraction(1, 5), Fraction(3, 25), 126]
+    D = [simple_point(Q5, v) for v in values] + [INFTY, ball(3, 2), pt(INV, 5, 1)]
+    # repeats as the same triple and as another description of one ball
+    return D + D[:3] + [pt(STD, 28, 2), pt(STD, Fraction(1, 5), 1)]
+
+
+def test_skeleton_normalizes_once_per_vertex(monkeypatch):
+    D = count_divisor()
+    calls = _count_calls(monkeypatch, "_from_xball")
+    tree = skeleton(Q5, D)
+    assert len(calls) == tree.n
+    assert tree == skeleton_by_ancestor_joins(Q5, D)
+
+
+def test_skeleton_contains_takes_at_most_one_join_per_leaf(monkeypatch):
+    D = count_divisor()
+    tree = skeleton(Q5, D)
+    leaves = sum(1 for i in range(tree.n) if not tree.children(i))
+    queries = queries_around_edges(Q5, tree) + [simple_point(Q5, v) for v in (3, 11, Fraction(1, 7))]
+    calls = _count_calls(monkeypatch, "_xjoin")
+    for q in queries:
+        before = len(calls)
+        skeleton_contains(Q5, tree, q)
+        assert len(calls) - before <= leaves + 1
