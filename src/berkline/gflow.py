@@ -11,11 +11,12 @@ with x_h = infinity never move.
 
 All geometry is exact: feasibility and suprema run through the rational
 simplex in polyhedra, recession cones through the double description
-method.  The complex keeps each functional and region row (alpha, c) also
-as one primitive integer row, a positive multiple that changes no sign,
-exit ratio or recession cone: cell location, the region test of a flow's
-start, exit times and cones read those rows against points brought to
-one common denominator.
+method.  The complex keeps the functional and region rows (alpha, c) as
+given, as the record of its input, and computes on one primitive integer
+row for each, a positive multiple that changes no sign, feasible set, LP
+optimum, exit ratio or recession cone: cells, core bounds, cell location,
+the region test of a flow's start, exit times and cones all read those
+rows, against points brought to one common denominator.
 Steps compose as x - tau * e_C and restart in the cell cut out by the
 functionals binding at the exit time tau, which is 0 for a direction
 leaving its cell's affine hull; cell dimensions strictly decrease at
@@ -57,13 +58,10 @@ LT, EQ, GT = "<", "=", ">"
 
 @dataclass(frozen=True, slots=True)
 class Functional:
-    """Affine test x -> sign(alpha . x - c)."""
+    """Affine functional x -> alpha . x - c, as the layout gives it."""
 
     alpha: tuple
     c: Fraction
-
-    def sign(self, x: Sequence) -> str:
-        return _sign(dot(self.alpha, x) - self.c)
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,14 +107,14 @@ class CellComplex:
 
     @cached_property
     def _rows(self) -> tuple:
-        """Each functional as one primitive integer row; the LP layer keeps
-        the rational ones."""
-        return tuple(_integer_functional(f.alpha, f.c) for f in self.functionals)
+        """Each functional as one primitive integer row (alpha, c), the row
+        every sign, constraint and LP of the complex reads."""
+        return tuple(_integer_pair(f.alpha, f.c) for f in self.functionals)
 
     @cached_property
     def _region_rows(self) -> tuple:
-        """Each region row (alpha, c) as one primitive integer row."""
-        return tuple(_integer_functional(a, c) for a, c in self.region)
+        """Each region row alpha . x >= c as one primitive integer (alpha, c)."""
+        return tuple(_integer_pair(a, c) for a, c in self.region)
 
     def point(self, x) -> tuple:
         """A name map over w, or a list or tuple aligned with w, as Gamma values."""
@@ -126,9 +124,9 @@ class CellComplex:
             raise PreconditionError(str(exc)) from exc
 
 
-def _integer_functional(alpha: Sequence, c) -> Functional:
+def _integer_pair(alpha: Sequence, c) -> tuple:
     row = integer_row((*alpha, c))
-    return Functional(row[:-1], row[-1])
+    return row[:-1], row[-1]
 
 
 def build_complex(layout: Mapping) -> CellComplex:
@@ -178,13 +176,18 @@ def assemble_complex(parts: Mapping) -> CellComplex:
 
 def locate_cell(K: CellComplex, x) -> Cell:
     """Sign pattern of a point with all-finite coordinates."""
-    X, d = over_common_denominator(_finite_coords(K.point(x)))
-    return Cell(tuple(_sign(_value(f, X, d)) for f in K._rows))
+    return Cell(_pattern_at(K._rows, _finite_coords(K.point(x))))
 
 
-def _value(f: Functional, X: Sequence, d: int) -> int:
-    """d * (alpha . x - c) for an integer row f and the point x = X / d."""
-    return sum(a * v for a, v in zip(f.alpha, X)) - f.c * d
+def _pattern_at(rows: Sequence, coords: Sequence) -> tuple:
+    """Signs of the integer rows at a point with exact rational coordinates."""
+    X, d = over_common_denominator(coords)
+    return tuple(_sign(_value(alpha, c, X, d)) for alpha, c in rows)
+
+
+def _value(alpha: Sequence, c: int, X: Sequence, d: int) -> int:
+    """d * (alpha . x - c) for an integer row (alpha, c) and the point x = X / d."""
+    return sum(a * v for a, v in zip(alpha, X)) - c * d
 
 
 def _sign(v) -> str:
@@ -198,13 +201,9 @@ def _finite_coords(pt: tuple) -> tuple:
 
 
 def _checked_pattern(K: CellComplex, cell: Cell) -> tuple:
-    if len(cell.pattern) != len(K.functionals):
+    if len(cell.pattern) != len(K._rows):
         raise PreconditionError("cell pattern does not match the complex")
     return cell.pattern
-
-
-def _cell_constraints(K: CellComplex, cell: Cell) -> tuple:
-    return _pattern_constraints(K.functionals, _checked_pattern(K, cell))
 
 
 def _cone_rows(K: CellComplex, cell: Cell) -> tuple:
@@ -213,17 +212,17 @@ def _cone_rows(K: CellComplex, cell: Cell) -> tuple:
     return [a for a, _ in eqs], [a for a, _ in gts]
 
 
-def _pattern_constraints(functionals: Sequence, pattern: tuple) -> tuple:
+def _pattern_constraints(rows: Sequence, pattern: tuple) -> tuple:
     """(equalities, strict inequalities) as (alpha, rhs) with alpha.x > rhs,
-    from the signs of the first len(pattern) functionals."""
+    from the signs of the first len(pattern) rows (alpha, c)."""
     eqs, gts = [], []
-    for f, s in zip(functionals, pattern):
+    for (alpha, c), s in zip(rows, pattern):
         if s == EQ:
-            eqs.append((f.alpha, f.c))
+            eqs.append((alpha, c))
         elif s == GT:
-            gts.append((f.alpha, f.c))
+            gts.append((alpha, c))
         elif s == LT:
-            gts.append((tuple(-a for a in f.alpha), -f.c))
+            gts.append((tuple(-a for a in alpha), -c))
         else:
             raise PreconditionError(f"invalid sign {s!r} in cell pattern")
     return eqs, gts
@@ -340,10 +339,10 @@ def _exit(K: CellComplex, cell: Cell, e: Sequence, coords: tuple) -> tuple:
     X, d = over_common_denominator(coords)
     E, de = over_common_denominator(e)
     hits = {}
-    for i, (f, s) in enumerate(zip(K._rows, cell.pattern)):
-        ae = sum(a * v for a, v in zip(f.alpha, E))
+    for i, ((alpha, c), s) in enumerate(zip(K._rows, cell.pattern)):
+        ae = sum(a * v for a, v in zip(alpha, E))
         if (ae > 0 and s != LT) or (ae < 0 and s != GT):
-            hits[i] = Fraction(_value(f, X, d) * de, d * ae)
+            hits[i] = Fraction(_value(alpha, c, X, d) * de, d * ae)
     if not hits:
         return INF, cell
     tau = min(hits.values())
@@ -361,7 +360,7 @@ def flow(K: CellComplex, t, x) -> FlowResult:
         return FlowResult((), pt)
     coords = _finite_coords(pt)
     X, d = over_common_denominator(coords)
-    if not all(_value(f, X, d) >= 0 for f in K._region_rows):
+    if not all(_value(alpha, c, X, d) >= 0 for alpha, c in K._region_rows):
         raise PreconditionError("start point lies outside the region")
     steps = []
     remaining = t
@@ -403,21 +402,21 @@ def cells(K: CellComplex) -> tuple:
     """All nonempty sign cells, found by witness propagation."""
     if K._cells is not None:
         return K._cells
-    partial = [((), tuple(Fraction(0) for _ in range(K.n)))]
-    for f in K.functionals:
+    # each partial pattern carries the signs of its witness on every row
+    partial = [((), _pattern_at(K._rows, (0,) * K.n))]
+    for i in range(len(K._rows)):
         grown = []
-        for pattern, wit in partial:
-            cur = f.sign(wit)
-            grown.append((pattern + (cur,), wit))
+        for pattern, signs in partial:
+            grown.append((pattern + (signs[i],), signs))
             for s in (LT, EQ, GT):
-                if s == cur:
+                if s == signs[i]:
                     continue
-                eqs, gts = _pattern_constraints(K.functionals, pattern + (s,))
+                eqs, gts = _pattern_constraints(K._rows, pattern + (s,))
                 found = strict_feasible(eqs, [], gts, K.n)
                 if found is not None:
-                    grown.append((pattern + (s,), found))
+                    grown.append((pattern + (s,), _pattern_at(K._rows, found)))
         partial = grown
-    K._cells = tuple(Cell(p) for p, _ in sorted(partial))
+    K._cells = tuple(Cell(p) for p in sorted(p for p, _ in partial))
     return K._cells
 
 
@@ -436,15 +435,15 @@ def core_bounds(K: CellComplex) -> dict:
     so its region test, objective values and m never exceed the cell's,
     and its LP is unbounded only if the cell's is.
     """
-    if not K.region:
+    if not K._region_rows:
         raise PreconditionError("core bounds need a bounded-below region")
     stable = [cell for cell in cells(K) if classify_D0(K, cell)]
     active = []
     for cell in stable:
         if any(d != cell and _is_face(cell.pattern, d.pattern) for d in stable):
             continue
-        eqs, gts = _cell_constraints(K, cell)
-        closure = [(a, r) for a, r in gts] + list(K.region)
+        eqs, gts = _pattern_constraints(K._rows, cell.pattern)
+        closure = gts + list(K._region_rows)
         if strict_feasible(eqs, closure, [], K.n) is None:
             continue
         active.append((cell, eqs, closure))
@@ -456,10 +455,7 @@ def core_bounds(K: CellComplex) -> dict:
         m = max(_m_bound(K, cell, i) for cell, _, _ in active)
         best = None
         for _, eqs, closure in active:
-            obj = tuple(
-                Fraction(1 if j == i else 0) - m * Fraction(1 if j == K.h_index else 0)
-                for j in range(K.n)
-            )
+            obj = tuple(int(j == i) - m * int(j == K.h_index) for j in range(K.n))
             status, val, _ = lp_max(obj, eqs, closure, K.n)
             if status == UNBOUNDED:
                 raise InconsistencyError(
@@ -484,8 +480,8 @@ def lipschitz_bound(K: CellComplex) -> Fraction:
     for cell in cells(K):
         if classify_D0(K, cell):
             continue
-        eqs, gts = _cell_constraints(K, cell)
-        if K.region and strict_feasible(eqs, list(K.region), gts, K.n) is None:
+        eqs, gts = _pattern_constraints(K._rows, cell.pattern)
+        if K._region_rows and strict_feasible(eqs, K._region_rows, gts, K.n) is None:
             # trajectories stay inside the region, so cells that never
             # meet it cannot contribute a stretch factor
             continue

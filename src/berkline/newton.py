@@ -33,8 +33,7 @@ from math import isqrt
 from typing import Sequence
 
 from .errors import PreconditionError
-from .gamma import INF, Gamma, MinAffine, as_gamma, lower_hull
-from .pline import PLinePoint, STD, gauss_val
+from .gamma import INF, Gamma, MinAffine, as_gamma, gmin, lower_hull
 from .polys import poly_mul, poly_sub, taylor_shift, trim
 
 
@@ -231,14 +230,16 @@ def quadratic_residual_square(field, F: Sequence, center, t) -> bool:
     disc = trim(disc)
     if not disc:
         return False
-    c = field.coerce(center)
-    m = gauss_val(field, disc, PLinePoint(STD, c, t))
+    shifted = taylor_shift(disc, field.coerce(center))
+    # val(b_i) + i*t for the coefficients b_i around the center; their
+    # minimum m is the discriminant's valuation at B(center, t)
+    terms = [field.val(b) + t.scale(i) for i, b in enumerate(shifted)]
+    m = gmin(terms)
     if m.finite.numerator % 2:
         return False
-    shifted = taylor_shift(disc, c)
     residual = []
-    for i, b in enumerate(shifted):
-        if field.val(b) + t.scale(i) == m:
+    for i, (b, v) in enumerate(zip(shifted, terms)):
+        if v == m:
             unit = b * field.uniformizer_pow(int((t.scale(i) - m).finite))
             residual.append(Fraction(field.residue(unit)))
         else:

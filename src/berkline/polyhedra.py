@@ -1,8 +1,8 @@
 """Exact rational linear algebra, linear programming, and cone geometry.
 
-Vectors are tuples of Fraction.  Constraint systems are given as
-(coefficients, rhs) pairs: equalities mean coeffs . x = rhs and
-inequalities mean coeffs . x >= rhs.  Everything is exact; the simplex
+Vectors are tuples of exact rationals, int or Fraction.  Constraint
+systems are given as (coefficients, rhs) pairs: equalities mean
+coeffs . x = rhs and inequalities mean coeffs . x >= rhs.  Everything is exact; the simplex
 uses Bland's rule, so it terminates on every input.  Row reduction and
 the simplex pivot on integer rows with one denominator each and convert
 to Fraction only at their results.  Cones are built by the double
@@ -213,12 +213,12 @@ def lp_max(objective: Sequence, eqs: Sequence, ges: Sequence, n: int) -> tuple:
 
 def strict_feasible(eqs: Sequence, ges: Sequence, gts: Sequence, n: int):
     """A point satisfying eqs, ges (>=) and gts (>) exactly, or None."""
-    obj = [Fraction(0)] * n + [Fraction(1)]
-    eqs2 = [(list(coeffs) + [Fraction(0)], rhs) for coeffs, rhs in eqs]
-    ges2 = [(list(coeffs) + [Fraction(0)], rhs) for coeffs, rhs in ges]
+    obj = [0] * n + [1]
+    eqs2 = [(list(coeffs) + [0], rhs) for coeffs, rhs in eqs]
+    ges2 = [(list(coeffs) + [0], rhs) for coeffs, rhs in ges]
     for coeffs, rhs in gts:
-        ges2.append((list(coeffs) + [Fraction(-1)], rhs))
-    ges2.append(([Fraction(0)] * n + [Fraction(-1)], Fraction(-1)))  # delta <= 1
+        ges2.append((list(coeffs) + [-1], rhs))
+    ges2.append(([0] * n + [-1], -1))  # delta <= 1
     status, val, point = lp_max(obj, eqs2, ges2, n + 1)
     if status != OPTIMAL or val <= 0:
         return None

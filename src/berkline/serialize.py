@@ -365,7 +365,7 @@ def _check_trop(field, table, inputs, values, seed) -> None:
 def _run_flow(field, args, fmt, seed, check) -> str:
     K = assemble_complex(args)
     unit_h = [int(j == K.h_index) for j in range(K.n)]
-    if rank([f.alpha for f in K.functionals] + [unit_h], K.n) < K.n:
+    if rank([alpha for alpha, _ in K._rows] + [unit_h], K.n) < K.n:
         # a direction unseen by every functional and by h is a lineality
         # direction of every cell, so no cell is stable
         raise SceneError("flow.functionals: expected functionals spanning the coordinates with h")

@@ -18,7 +18,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from berkline import gflow
+from berkline import gflow, polyhedra
 from berkline.errors import PreconditionError
 from berkline.fields import PAdicField, RatFunc, TAdicField
 from berkline.gamma import INF, Gamma, MinAffine, gmin
@@ -408,6 +408,30 @@ def test_criterion_08_core_bounds_lp_count(monkeypatch):
     for K in complexes:
         core_bounds(K)
     assert calls == {"strict_feasible": 272, "lp_max": 658}
+
+
+def test_criterion_08_cells_lp_count(monkeypatch):
+    # the LP work of cells alone on fresh complexes: two strict_feasible
+    # LPs per (prefix cell, functional) pair, and the simplex pivots in them
+    calls = {"strict_feasible": 0, "_pivot": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, call)
+
+    counted(gflow, "strict_feasible")
+    counted(polyhedra, "_pivot")
+    found = 0
+    for K0 in _gflow_instances():
+        K = gflow.CellComplex(K0.w, K0.h, K0.functionals, K0.xis, K0.region)
+        found += len(cells(K))
+    assert found == 5742
+    assert calls == {"strict_feasible": 11708, "_pivot": 182892}
 
 
 def _padic_unit(rng, p):

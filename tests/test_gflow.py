@@ -12,7 +12,6 @@ from berkline.gflow import (
     Cell,
     FlowResult,
     FlowStep,
-    _cell_constraints,
     _finite_coords,
     _m_bound,
     build_complex,
@@ -29,7 +28,7 @@ from berkline.gflow import (
     xi_value,
 )
 from berkline.polyhedra import OPTIMAL, UNBOUNDED, dot, lp_max, strict_feasible
-from test_acceptance import _gflow_layout
+from test_acceptance import _GFLOW_SIZES, _gflow_instances, _gflow_layout, _random_start
 
 
 def fr(x):
@@ -376,7 +375,8 @@ def small_complexes(draw):
 
 
 def closure_constraints(K, cell):
-    """(equalities, inequalities alpha . x >= c) of the cell's closure."""
+    """(equalities, inequalities alpha . x >= c) of the cell's closure, read
+    from the rational functionals; with > for >= they cut out the cell."""
     eqs, ges = [], []
     for f, s in zip(K.functionals, cell.pattern):
         if s == "=":
@@ -482,6 +482,12 @@ def test_exit_time_refuses_a_non_sequence_direction():
     assert exit_time(K, cell, range(1, -1, -1), [3, 1]) == exit_time(K, cell, (1, 0), [3, 1])
 
 
+def sign_at(f, x):
+    """Sign of alpha . x - c for a rational functional."""
+    v = dot(f.alpha, x) - f.c
+    return "=" if v == 0 else (">" if v > 0 else "<")
+
+
 def exit_by_fractions(K, cell, e, coords):
     """_exit over the rational functionals, kept as an oracle for the
     integer rows: the least f(x) / (alpha . e) over the functionals moving
@@ -525,7 +531,7 @@ def test_integer_rows_match_fraction_functionals():
                 rest = sum(a * v for k, (a, v) in enumerate(zip(f.alpha, x)) if k != j)
                 x = x[:j] + ((f.c - rest) / f.alpha[j],) + x[j + 1:]
             cell = locate_cell(K, x)
-            assert cell.pattern == tuple(f.sign(x) for f in K.functionals)
+            assert cell.pattern == tuple(sign_at(f, x) for f in K.functionals)
             signs.update(cell.pattern)
             e = tuple(q(-3, 3) for _ in range(n))
             if any(e):
@@ -544,8 +550,8 @@ def core_bounds_all_active(K):
     for cell in cells(K):
         if not classify_D0(K, cell):
             continue
-        eqs, gts = _cell_constraints(K, cell)
-        closure = [(a, r) for a, r in gts] + list(K.region)
+        eqs, ges = closure_constraints(K, cell)
+        closure = ges + list(K.region)
         if strict_feasible(eqs, closure, [], K.n) is None:
             continue
         active.append((cell, eqs, closure))
@@ -622,7 +628,7 @@ def flow_relocating(K, t, x) -> FlowResult:
         if classify_D0(K, cell):
             break
         e = recession_barycenter(K, cell)
-        eqs, _ = _cell_constraints(K, cell)
+        eqs, _ = closure_constraints(K, cell)
         if any(dot(alpha, e) != 0 for alpha, _ in eqs):
             raise InconsistencyError(
                 "flow direction leaves the cell's affine hull"
@@ -706,3 +712,25 @@ def test_flow_reads_its_start_twice(monkeypatch):
     monkeypatch.setattr(gflow.CellComplex, "point", counting)
     flow(K, INF, [2, 3, 0])
     assert len(calls) == 2
+
+
+def test_answers_are_invariant_under_positive_row_scaling():
+    # the 20 acceptance layouts with every functional and region block
+    # multiplied by its own positive rational: a positive multiple of a
+    # row changes no sign, feasible set, LP optimum or stretch factor
+    rng = random.Random(2202)
+    layouts = random.Random(707)
+    for K, (n, extra) in zip(_gflow_instances(), _GFLOW_SIZES):
+        layout = _gflow_layout(layouts, n, extra)
+        for block in layout["functionals"] + layout["region"]:
+            q = rng.choice((Fraction(2, 3), Fraction(7, 4), Fraction(5), Fraction(1, 6)))
+            block["alpha"] = {nm: str(q * Fraction(a)) for nm, a in block["alpha"].items()}
+            block["c"] = str(q * Fraction(block["c"]))
+        S = build_complex(layout)
+        assert S.functionals != K.functionals
+        assert [c.pattern for c in cells(S)] == [c.pattern for c in cells(K)]
+        assert core_bounds(S) == core_bounds(K)
+        assert lipschitz_bound(S) == lipschitz_bound(K)
+        for _ in range(5):
+            x = _random_start(K, rng)
+            assert flow(S, INF, x).endpoint == flow(K, INF, x).endpoint, (layout, x)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from berkline import newton
 from berkline.errors import PreconditionError
-from berkline.fields import PAdicField, TAdicField
+from berkline.fields import PAdicField, RatFunc, TAdicField
 from berkline.gamma import INF, Gamma, MinAffine, lower_hull
 from berkline.newton import (
     NewtonPolygon,
@@ -395,6 +395,58 @@ def test_quadratic_residual_square_large_p():
     big = PAdicField(2**61 - 1)
     assert quadratic_residual_square(big, [F(-3), [], F(1)], 0, 0) is False
     assert quadratic_residual_square(big, [F(-4), [], F(1)], 0, 0) is True
+
+
+def quadratic_residual_square_by_gauss_val(field, F, center, t) -> bool:
+    """quadratic_residual_square before it took one Taylor shift, kept as an
+    oracle: the discriminant's valuation m from gauss_val, which shifts it
+    once, then a second shift for the residual polynomial."""
+    a0, a1, a2 = _bivariate(field, F)
+    disc = trim(poly_sub(poly_mul(a1, a1), [4 * x for x in poly_mul(a0, a2)]))
+    if not disc:
+        return False
+    c = field.coerce(center)
+    t = Gamma(t)
+    m = gauss_val(field, disc, PLinePoint(STD, c, t))
+    if m.finite.numerator % 2:
+        return False
+    residual = []
+    for i, b in enumerate(taylor_shift(disc, c)):
+        if field.val(b) + t.scale(i) == m:
+            unit = b * field.uniformizer_pow(int((t.scale(i) - m).finite))
+            residual.append(Fraction(field.residue(unit)))
+        else:
+            residual.append(Fraction(0))
+    return _residue_poly_is_square(field, trim(residual))
+
+
+def test_quadratic_residual_square_matches_gauss_val_oracle():
+    # random quadratics in y, half of them y^2 - u*g(x)^2 so that squares
+    # occur, at random centers and integral radii, over Q5 and Q(t)
+    rng = random.Random(2205)
+
+    def q5():
+        return Fraction(rng.randint(-12, 12), rng.choice((1, 1, 2, 5, 25))) * 5 ** rng.randint(0, 2)
+
+    def qt():
+        num = [rng.randint(-2, 2) for _ in range(rng.randint(1, 3))]
+        return RatFunc(num) / RatFunc.t() ** rng.randint(0, 1)
+
+    seen = {True: 0, False: 0}
+    for field, elem in ((Q5, q5), (QT, qt)):
+        for k in range(150):
+            poly = [field.coerce(elem()) for _ in range(rng.randint(1, 3))]
+            if k % 2:
+                F = [poly_neg(poly_mul([field.coerce(elem())], poly_mul(poly, poly))), [], [field.one]]
+            else:
+                F = [[field.coerce(elem()) for _ in range(rng.randint(0, 3))] for _ in range(3)]
+                if not any(F[2]):
+                    F[2] = [field.one]
+            center, t = field.coerce(elem()), rng.randint(-2, 4)
+            want = quadratic_residual_square_by_gauss_val(field, F, center, t)
+            assert quadratic_residual_square(field, F, center, t) is want, (field, F, center, t)
+            seen[want] += 1
+    assert min(seen.values()) >= 40, seen
 
 
 def oracle_residue_poly_is_square(field, h: list) -> bool:
