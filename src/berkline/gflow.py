@@ -11,10 +11,12 @@ with x_h = infinity never move.
 
 All geometry is exact: feasibility and suprema run through the rational
 simplex in polyhedra, recession cones through the double description
-method.  The complex keeps the functional and region rows (alpha, c) as
-given, as the record of its input, and computes on one primitive integer
-row for each, a positive multiple that changes no sign, feasible set, LP
-optimum, exit ratio or recession cone: cells, core bounds, cell location,
+method, one run per cell; the cone of the recession slice is that run's
+state cut by v_h = 0 in one more DD step.  The complex keeps the
+functional and region rows (alpha, c) as given, as the record of its
+input, and computes on one primitive integer row for each, a positive
+multiple that changes no sign, feasible set, LP optimum, exit ratio or
+recession cone: cells, core bounds, cell location,
 the region test of a flow's start, exit times and cones all read those
 rows, against points brought to one common denominator.
 Steps compose as x - tau * e_C and restart in the cell cut out by the
@@ -43,8 +45,9 @@ from .polyhedra import (
     OPTIMAL,
     UNBOUNDED,
     canonical_ray,
-    cone_generators,
+    dd_step,
     dot,
+    double_description,
     integer_row,
     lp_max,
     over_common_denominator,
@@ -251,29 +254,33 @@ def cell_dimension(K: CellComplex, cell: Cell) -> int:
 
 @_per_cell
 def _recession(K: CellComplex, cell: Cell) -> tuple:
+    """The DD state (basis, rays, rows) of the cell's recession cone."""
     eqs, ges = _cone_rows(K, cell)
-    return cone_generators(eqs, ges, K.n)
+    return double_description(eqs, ges, K.n)
 
 
 def _m_bound(K: CellComplex, cell: Cell, i: int):
     """Minimal m in N with x_i <= m*x_h + c valid on the cell, or None."""
-    lin, rays = _recession(K, cell)
+    basis, rays, _ = _recession(K, cell)
+    h = K.h_index
+    # lo = lo_n / lo_d and hi = hi_n / hi_d with positive denominators, the
+    # ratios g_i / g_h compared by cross-multiplication
+    lo_n, lo_d = 0, 1
     hi = None
-    lo = Fraction(0)
-    # the cone is lin + cone(rays): each lineality direction l counts as the
-    # two rays l and -l, whose bounds together pin m to l_i / l_h
-    for g in rays + lin + [tuple(-a for a in l) for l in lin]:
-        gh = g[K.h_index]
-        if gh > 0:
-            lo = max(lo, g[i] / gh)
-        elif gh == 0:
-            if g[i] > 0:
+    # the cone is span(basis) + cone(rays): each lineality direction l counts
+    # as the two rays l and -l, whose bounds together pin m to l_i / l_h
+    for g in [r for r, _ in rays] + basis + [tuple(-a for a in l) for l in basis]:
+        gi, gh = g[i], g[h]
+        if gh == 0:
+            if gi > 0:
                 return None
-        else:
-            bound = g[i] / gh
-            hi = bound if hi is None else min(hi, bound)
-    m = -((-lo.numerator) // lo.denominator)  # ceil
-    if hi is not None and m > hi:
+        elif gh > 0:
+            if gi * lo_d > lo_n * gh:
+                lo_n, lo_d = gi, gh
+        elif hi is None or -gi * hi[1] < hi[0] * -gh:
+            hi = (-gi, -gh)
+    m = -(-lo_n // lo_d)  # ceil
+    if hi is not None and m * hi[1] > hi[0]:
         return None
     return m
 
@@ -291,9 +298,9 @@ def recession_barycenter(K: CellComplex, cell: Cell) -> tuple:
     bounded polytope with nonnegative vertices."""
     if classify_D0(K, cell):
         return tuple(Fraction(0) for _ in range(K.n))
-    eqs, ges = _cone_rows(K, cell)
+    # the slice's cone is the recession cone cut by v_h = 0: one more DD step
     unit_h = tuple(int(j == K.h_index) for j in range(K.n))
-    lin, rays = cone_generators(eqs + [unit_h], ges, K.n)
+    lin, rays, _ = dd_step(_recession(K, cell), unit_h, True)
     if lin:
         raise InconsistencyError(
             "recession slice of an unstable cell has a lineality direction"
@@ -301,13 +308,13 @@ def recession_barycenter(K: CellComplex, cell: Cell) -> tuple:
     if not rays:
         raise InconsistencyError("recession slice of an unstable cell is empty")
     vertices = []
-    for r in rays:
+    for r, _ in rays:
         s = sum(r)
         if s <= 0:
             raise InconsistencyError(
                 "recession slice of an unstable cell is unbounded"
             )
-        vertices.append(tuple(x / s for x in r))
+        vertices.append(tuple(Fraction(x, s) for x in r))
     k = Fraction(len(vertices))
     e = tuple(sum(col, Fraction(0)) / k for col in zip(*vertices))
     if any(x < 0 for x in e):
@@ -319,7 +326,7 @@ def exit_time(K: CellComplex, cell: Cell, e: Sequence, x) -> Gamma:
     """First time x - t*e leaves the cell: 0 when e leaves the cell's affine
     hull, infinite when the point never leaves."""
     coords = _finite_coords(K.point(x))
-    if locate_cell(K, coords) != cell:
+    if Cell(_pattern_at(K._rows, coords)) != cell:
         raise PreconditionError("point does not lie in the given cell")
     if not isinstance(e, abc.Sequence) or isinstance(e, str):
         raise PreconditionError(f"direction must be a sequence, got {type(e).__name__}")
@@ -365,7 +372,7 @@ def flow(K: CellComplex, t, x) -> FlowResult:
     steps = []
     remaining = t
     prev_dim = None
-    cell = locate_cell(K, coords)
+    cell = Cell(_pattern_at(K._rows, coords))
     while True:
         dim = cell_dimension(K, cell)
         if prev_dim is not None and dim >= prev_dim:
@@ -395,7 +402,7 @@ def final_image_membership(K: CellComplex, x) -> bool:
     pt = K.point(x)
     if pt[K.h_index].is_inf:
         return True
-    return classify_D0(K, locate_cell(K, pt))
+    return classify_D0(K, Cell(_pattern_at(K._rows, _finite_coords(pt))))
 
 
 def cells(K: CellComplex) -> tuple:

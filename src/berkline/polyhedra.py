@@ -7,7 +7,9 @@ uses Bland's rule, so it terminates on every input.  Row reduction and
 the simplex pivot on integer rows with one denominator each and convert
 to Fraction only at their results.  Cones are built by the double
 description method on primitive integer rows and rays: one constraint at
-a time, with the combinatorial adjacency test on tight-row sets.
+a time, with the combinatorial adjacency test on tight-row sets.  A DD
+state can take one more row later, and the lineality basis of a cone is
+read off its final DD basis, which spans nullspace(eqs + ges).
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ def over_common_denominator(values: Sequence) -> tuple:
 
 def _int_row(values: Sequence) -> tuple:
     """Exact rationals as (integer row, positive denominator) in lowest terms."""
+    if all(type(v) is int for v in values):
+        return list(values), 1
     return _norm(*over_common_denominator(values))
 
 
@@ -79,12 +83,14 @@ def _pivot(rows: list, r: int, col: int) -> None:
             rows[i] = _norm([v * piv - f * w for v, w in zip(other, prow)], den * piv)
 
 
-def _rref(rows: Sequence, width: int) -> tuple:
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    mat = [_int_row(r) for r in rows]
+def _reduce(mat: list, columns) -> tuple:
+    """Gauss-Jordan on integer rows (list, den), pivoting on the columns in
+    the order given; returns (the nonzero reduced rows, their pivots)."""
     pivots = []
     r = 0
-    for col in range(width):
+    for col in columns:
+        if r == len(mat):
+            break
         sel = next((i for i in range(r, len(mat)) if mat[i][0][col] != 0), None)
         if sel is None:
             continue
@@ -92,9 +98,13 @@ def _rref(rows: Sequence, width: int) -> tuple:
         _pivot(mat, r, col)
         pivots.append(col)
         r += 1
-        if r == len(mat):
-            break
-    return [tuple(Fraction(v, den) for v in row) for row, den in mat[:r]], pivots
+    return mat[:r], pivots
+
+
+def _rref(rows: Sequence, width: int) -> tuple:
+    """Reduced row echelon form; returns (rows, pivot column list)."""
+    mat, pivots = _reduce([_int_row(r) for r in rows], range(width))
+    return [tuple(Fraction(v, den) for v in row) for row, den in mat], pivots
 
 
 def rank(rows: Sequence, width: int) -> int:
@@ -238,66 +248,93 @@ def _combine(a: int, u: tuple, b: int, v: tuple) -> tuple:
     return _primitive([a * x + b * y for x, y in zip(u, v)])
 
 
-def cone_generators(eqs: Sequence, ges: Sequence, n: int) -> tuple:
-    """Lineality basis and extreme rays of {x : eqs . x = 0, ges . x >= 0}.
+def double_description(eqs: Sequence, ges: Sequence, n: int) -> tuple:
+    """{x : eqs . x = 0, ges . x >= 0} from Q^n by one dd_step per row, the
+    rows of eqs first, as a DD state (basis, rays, rows): a basis of the
+    lineality space and the rays, as primitive integer vectors, each ray
+    paired with the bit mask of the rows tight on it (bit k for the k-th row
+    added), and the number of rows added.  A row of ints is used as it is,
+    any other row is scaled to its primitive integer row."""
+    E = _int_rows(eqs)
+    cone = ([tuple(int(i == j) for j in range(n)) for i in range(n)], [], 0)
+    for k, row in enumerate(E + _int_rows(ges)):
+        cone = dd_step(cone, row, k < len(E))
+    return cone
+
+
+def dd_step(cone: tuple, row: Sequence, is_eq: bool) -> tuple:
+    """The DD state of the cone cut by one more integer row: row . x = 0
+    when is_eq, else row . x >= 0.  The given state is left as it is.
 
     Double description (Motzkin, Raiffa, Thompson & Thrall 1953; Fukuda &
-    Prodon 1996): start from the lineality space Q^n and add the rows one
-    at a time.  A row that some lineality vector l0 does not annihilate
+    Prodon 1996): a row that some lineality vector l0 does not annihilate
     is met by projecting along l0; an inequality then adds l0, oriented
     into the half-space, as a new ray.  Otherwise the rays split by the
     sign of their product with the row, and each adjacent (+, -) pair
     gives a ray on the row's hyperplane.  Two rays are adjacent iff no
-    third ray is tight on every row both are tight on.  Rays are primitive
-    integer vectors; a row of ints is used as it is, any other row is
-    scaled to its primitive integer row.
-
-    lin is nullspace(eqs + ges).  The rays are sorted, each reduced modulo
-    lin and scaled so its first nonzero entry is +-1; every ray r
-    satisfies ges . r >= 0.
+    third ray is tight on every row both are tight on.
     """
-    E = _int_rows(eqs)
-    rows = E + _int_rows(ges)
-    basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    rays = []  # (ray, bit mask of the rows tight on it)
-    for k, row in enumerate(rows):
-        bit, is_eq = 1 << k, k < len(E)
-        prods = [_int_dot(row, l) for l in basis]
-        piv = next((i for i, v in enumerate(prods) if v), None)
-        if piv is not None:
-            l0, p0 = basis.pop(piv), prods.pop(piv)
-            if p0 < 0:
-                l0, p0 = tuple(-v for v in l0), -p0
-            basis = [_combine(p0, l, -v, l0) if v else l for l, v in zip(basis, prods)]
-            moved = []
-            for r, z in rays:
-                v = _int_dot(row, r)
-                moved.append((_combine(p0, r, -v, l0) if v else r, z | bit))
-            rays = moved
-            if not is_eq:
-                # l0 was lineality, so it is tight on every earlier row
-                rays.append((l0, bit - 1))
-            continue
-        signed = [(r, z, _int_dot(row, r)) for r, z in rays]
-        kept = [(r, z | bit) for r, z, v in signed if v == 0]
+    basis, rays, k = cone
+    bit = 1 << k
+    prods = [_int_dot(row, l) for l in basis]
+    piv = next((i for i, v in enumerate(prods) if v), None)
+    if piv is not None:
+        l0, p0 = basis[piv], prods[piv]
+        if p0 < 0:
+            l0, p0 = tuple(-v for v in l0), -p0
+        basis = [
+            _combine(p0, l, -v, l0) if v else l
+            for i, (l, v) in enumerate(zip(basis, prods))
+            if i != piv
+        ]
+        moved = []
+        for r, z in rays:
+            v = _int_dot(row, r)
+            moved.append((_combine(p0, r, -v, l0) if v else r, z | bit))
         if not is_eq:
-            kept += [(r, z) for r, z, v in signed if v > 0]
-        for p, zp, vp in signed:
-            if vp <= 0:
+            # l0 was lineality, so it is tight on every earlier row
+            moved.append((l0, bit - 1))
+        return basis, moved, k + 1
+    signed = [(r, z, _int_dot(row, r)) for r, z in rays]
+    kept = [(r, z | bit) for r, z, v in signed if v == 0]
+    if not is_eq:
+        kept += [(r, z) for r, z, v in signed if v > 0]
+    for p, zp, vp in signed:
+        if vp <= 0:
+            continue
+        for q, zq, vq in signed:
+            if vq >= 0:
                 continue
-            for q, zq, vq in signed:
-                if vq >= 0:
-                    continue
-                common = zp & zq
-                # adjacent: no ray but p and q is tight on all of common
-                if sum((z & common) == common for _, z in rays) == 2:
-                    kept.append((_combine(vp, q, -vq, p), common | bit))
-        rays = kept
-    lin = nullspace(rows, n)
-    out = [list(map(Fraction, r)) for r, _ in rays]
-    if lin and out:
+            common = zp & zq
+            # adjacent: no ray but p and q is tight on all of common
+            if sum((z & common) == common for _, z in rays) == 2:
+                kept.append((_combine(vp, q, -vq, p), common | bit))
+    return basis, kept, k + 1
+
+
+def cone_generators(eqs: Sequence, ges: Sequence, n: int) -> tuple:
+    """Lineality basis and extreme rays of {x : eqs . x = 0, ges . x >= 0},
+    read off one double_description run.
+
+    lin is nullspace(eqs + ges): the final DD basis spans that space, and
+    reduced with its columns taken from the last it becomes the one basis
+    equal to the identity on the free columns of the rows' RREF.  The rays
+    are sorted, each reduced modulo lin and scaled so its first nonzero
+    entry is +-1; every ray r satisfies ges . r >= 0.
+    """
+    return generators(double_description(eqs, ges, n), n)
+
+
+def generators(cone: tuple, n: int) -> tuple:
+    """(lin, rays) of the DD state of a cone in Q^n, as cone_generators
+    returns them."""
+    basis, rays, _ = cone
+    red, _ = _reduce([(list(l), 1) for l in basis], range(n - 1, -1, -1))
+    lin = [tuple(Fraction(v, den) for v in row) for row, den in reversed(red)]
+    out = [r for r, _ in rays]
+    if basis and out:
         # the representative modulo lin with zeros at the pivots of its RREF
-        lin_rref, pivots = _rref(lin, n)
-        for row, p in zip(lin_rref, pivots):
-            out = [[a - v[p] * b for a, b in zip(v, row)] if v[p] else v for v in out]
+        red, pivots = _reduce([(list(l), 1) for l in basis], range(n))
+        for (row, den), p in zip(red, pivots):
+            out = [_combine(den, v, -v[p], row) if v[p] else v for v in out]
     return lin, sorted(canonical_ray(v) for v in out)

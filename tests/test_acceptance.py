@@ -345,12 +345,14 @@ def test_criterion_07_gflow_laws():
     assert time.perf_counter() - start < 30.0
 
 
-def test_criterion_07_one_nullspace_per_cone(monkeypatch):
-    # double description takes one nullspace per cone, for its lineality
-    # space; the subset enumerator took one per rank-sized row subset
+def test_criterion_07_no_nullspace_on_flow_path(monkeypatch):
+    # one double description run per cone, whose final basis gives the
+    # lineality space: the flow path takes no nullspace at all (the subset
+    # enumerator took one per rank-sized row subset, and the first double
+    # description one per cone)
     from berkline import polyhedra
 
-    calls = {"cone_generators": 0, "nullspace": 0}
+    calls = {"double_description": 0, "nullspace": 0}
 
     def counted(module, name):
         real = getattr(module, name)
@@ -361,7 +363,7 @@ def test_criterion_07_one_nullspace_per_cone(monkeypatch):
 
         monkeypatch.setattr(module, name, call)
 
-    counted(gflow, "cone_generators")
+    counted(gflow, "double_description")
     counted(polyhedra, "nullspace")
     rng = random.Random(777)
     for K0 in _gflow_instances():
@@ -369,8 +371,8 @@ def test_criterion_07_one_nullspace_per_cone(monkeypatch):
         K = gflow.CellComplex(K0.w, K0.h, K0.functionals, K0.xis, K0.region)
         for _ in range(20):
             flow(K, INF, _random_start(K, rng))
-    assert calls["cone_generators"] >= 100, calls
-    assert calls["nullspace"] <= calls["cone_generators"], calls
+    assert calls["double_description"] >= 100, calls
+    assert calls["nullspace"] == 0, calls
 
 
 def test_criterion_08_compact_core_bounds():

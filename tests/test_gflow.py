@@ -27,7 +27,14 @@ from berkline.gflow import (
     recession_barycenter,
     xi_value,
 )
-from berkline.polyhedra import OPTIMAL, UNBOUNDED, dot, lp_max, strict_feasible
+from berkline.polyhedra import (
+    OPTIMAL,
+    UNBOUNDED,
+    cone_generators,
+    dot,
+    lp_max,
+    strict_feasible,
+)
 from test_acceptance import _GFLOW_SIZES, _gflow_instances, _gflow_layout, _random_start
 
 
@@ -409,30 +416,36 @@ def test_classify_D0_matches_lp_definition(K):
 
 
 def test_per_cell_memo_counts_cone_enumerations(monkeypatch):
-    calls = []
-    real = gflow.cone_generators
+    runs, steps = [], []
+    real_run, real_step = gflow.double_description, gflow.dd_step
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting_run(*args):
+        runs.append(args)
+        return real_run(*args)
 
-    monkeypatch.setattr(gflow, "cone_generators", counting)
+    def counting_step(*args):
+        steps.append(args)
+        return real_step(*args)
+
+    monkeypatch.setattr(gflow, "double_description", counting_run)
+    monkeypatch.setattr(gflow, "dd_step", counting_step)
     K = plane()
     unstable = locate_cell(K, [3, 1])
     stable = locate_cell(K, [1, 1])
-    # the recession cone, then the recession slice for the barycenter
+    # one DD run for the recession cone; the recession slice is one more
+    # DD step on it, not a second run
     for _ in range(3):
         assert classify_D0(K, unstable) is False
         assert recession_barycenter(K, unstable) == (fr(1), fr(0))
-    assert len(calls) == 2
+    assert (len(runs), len(steps)) == (1, 1)
     # a stable cell needs only its recession cone
     for _ in range(3):
         assert classify_D0(K, stable) is True
         assert recession_barycenter(K, stable) == (fr(0), fr(0))
-    assert len(calls) == 3
+    assert (len(runs), len(steps)) == (2, 1)
     # a complex built again from the same layout starts with an empty memo
     assert classify_D0(plane(), unstable) is False
-    assert len(calls) == 4
+    assert (len(runs), len(steps)) == (3, 1)
 
 
 def test_xi_value():
@@ -578,6 +591,108 @@ def core_bounds_all_active(K):
     return out
 
 
+def recession_by_fractions(K, cell, extra_eqs=()):
+    """cone_generators over the cell's rational recession rows."""
+    eqs, ges = closure_constraints(K, cell)
+    return cone_generators([a for a, _ in eqs] + list(extra_eqs), [a for a, _ in ges], K.n)
+
+
+def m_bound_by_fractions(K, cell, i):
+    """_m_bound before it read the integer DD state, kept as an oracle: the
+    ratios g_i / g_h as Fractions over cone_generators' lineality basis and
+    canonical rays, the cone kept in the complex's memo under this oracle."""
+    key = (m_bound_by_fractions, cell.pattern)
+    if key not in K._memo:
+        K._memo[key] = recession_by_fractions(K, cell)
+    lin, rays = K._memo[key]
+    hi = None
+    lo = Fraction(0)
+    for g in rays + lin + [tuple(-a for a in l) for l in lin]:
+        gh = g[K.h_index]
+        if gh > 0:
+            lo = max(lo, g[i] / gh)
+        elif gh == 0:
+            if g[i] > 0:
+                return None
+        else:
+            bound = g[i] / gh
+            hi = bound if hi is None else min(hi, bound)
+    m = -((-lo.numerator) // lo.denominator)
+    if hi is not None and m > hi:
+        return None
+    return m
+
+
+def classify_by_fractions(K, cell):
+    return all(m_bound_by_fractions(K, cell, i) is not None for i in range(K.n))
+
+
+def barycenter_by_two_runs(K, cell):
+    """recession_barycenter before the slice v_h = 0 was one more DD step,
+    kept as an oracle: a second cone_generators run over the cell's rows
+    plus e_h."""
+    if classify_by_fractions(K, cell):
+        return tuple(Fraction(0) for _ in range(K.n))
+    unit_h = tuple(int(j == K.h_index) for j in range(K.n))
+    lin, rays = recession_by_fractions(K, cell, [unit_h])
+    if lin:
+        raise InconsistencyError(
+            "recession slice of an unstable cell has a lineality direction"
+        )
+    if not rays:
+        raise InconsistencyError("recession slice of an unstable cell is empty")
+    vertices = []
+    for r in rays:
+        s = sum(r)
+        if s <= 0:
+            raise InconsistencyError(
+                "recession slice of an unstable cell is unbounded"
+            )
+        vertices.append(tuple(x / s for x in r))
+    k = Fraction(len(vertices))
+    e = tuple(sum(col, Fraction(0)) / k for col in zip(*vertices))
+    if any(x < 0 for x in e):
+        raise InconsistencyError("flow direction has a negative component")
+    return e
+
+
+def _answer(fn, *args):
+    try:
+        return fn(*args)
+    except (InconsistencyError, PreconditionError) as exc:
+        return type(exc), str(exc)
+
+
+def test_cone_answers_match_fraction_oracles(monkeypatch):
+    # every cell of the 20 acceptance complexes and of ten complexes in the
+    # gflow_flow workload's shapes (4-6 coordinates)
+    rng = random.Random(2323)
+    flow_shaped = [
+        build_complex(_gflow_layout(rng, n, extra))
+        for n, extra in ((4, 2), (4, 3), (5, 1), (5, 2), (6, 1)) * 2
+    ]
+    complexes = _gflow_instances() + flow_shaped
+    seen = {"stable": 0, "moving": 0, "error": 0, "no m": 0}
+    for K in complexes:
+        for cell in cells(K):
+            bounds = [_m_bound(K, cell, i) for i in range(K.n)]
+            assert bounds == [m_bound_by_fractions(K, cell, i) for i in range(K.n)], cell
+            stable = classify_D0(K, cell)
+            assert stable == classify_by_fractions(K, cell), cell
+            want = _answer(barycenter_by_two_runs, K, cell)
+            assert _answer(recession_barycenter, K, cell) == want, cell
+            seen["no m"] += None in bounds
+            seen["stable" if stable else "moving" if isinstance(want[0], Fraction) else "error"] += 1
+    native = [_answer(core_bounds, K) for K in complexes]
+    # core_bounds again on fresh memos, with every m taken by the oracle
+    monkeypatch.setattr(gflow, "_m_bound", m_bound_by_fractions)
+    for K, bounds in zip(complexes, native):
+        fresh = gflow.CellComplex(K.w, K.h, K.functionals, K.xis, K.region)
+        fresh._cells = K._cells
+        assert _answer(core_bounds, fresh) == bounds, K.functionals
+    assert min(seen.values()) >= 20, seen
+
+
 def _outcome(fn, K):
     try:
         return fn(K)
@@ -686,21 +801,27 @@ def test_flow_matches_relocating_oracle():
 
 
 def test_flow_locates_only_its_start(monkeypatch):
-    calls = []
-    real = gflow.locate_cell
+    # the start's signs are read once, on the coordinates flow already
+    # holds; every later cell is carried from the step before
+    located, signs = [], []
+    real_locate, real_pattern = gflow.locate_cell, gflow._pattern_at
 
-    def counting(K, x):
-        calls.append(x)
-        return real(K, x)
+    def counting_locate(K, x):
+        located.append(x)
+        return real_locate(K, x)
 
-    monkeypatch.setattr(gflow, "locate_cell", counting)
+    def counting_pattern(rows, coords):
+        signs.append(coords)
+        return real_pattern(rows, coords)
+
+    monkeypatch.setattr(gflow, "locate_cell", counting_locate)
+    monkeypatch.setattr(gflow, "_pattern_at", counting_pattern)
     res = flow(three(), INF, [2, 3, 0])
     assert len(res.steps) == 2
-    assert len(calls) == 1
+    assert (len(located), len(signs)) == (0, 1)
 
 
-def test_flow_reads_its_start_twice(monkeypatch):
-    # once in flow itself and once in its one locate_cell call
+def count_point_reads(monkeypatch):
     calls = []
     real = gflow.CellComplex.point
 
@@ -708,10 +829,32 @@ def test_flow_reads_its_start_twice(monkeypatch):
         calls.append(x)
         return real(self, x)
 
-    K = three()
     monkeypatch.setattr(gflow.CellComplex, "point", counting)
+    return calls
+
+
+def test_flow_reads_its_start_once(monkeypatch):
+    K = three()
+    calls = count_point_reads(monkeypatch)
     flow(K, INF, [2, 3, 0])
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+def test_exit_time_reads_its_point_once(monkeypatch):
+    K = PLANE
+    cell = locate_cell(K, [3, 1])
+    calls = count_point_reads(monkeypatch)
+    assert exit_time(K, cell, (1, 0), [3, 1]) == Gamma(2)
+    assert len(calls) == 1
+
+
+def test_final_image_membership_reads_its_point_once(monkeypatch):
+    K = PLANE
+    calls = count_point_reads(monkeypatch)
+    assert final_image_membership(K, [1, 2]) is True
+    assert final_image_membership(K, [3, 1]) is False
+    assert final_image_membership(K, [3, INF]) is True
+    assert len(calls) == 3
 
 
 def test_answers_are_invariant_under_positive_row_scaling():

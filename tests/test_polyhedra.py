@@ -287,6 +287,27 @@ def test_cone_generators_matches_subset_oracle():
     assert min(kinds.values()) >= 40, kinds
 
 
+def test_dd_step_matches_a_fresh_run():
+    # one more row on a finished DD state gives the cone of a fresh run over
+    # every row, and leaves the state it started from as it was
+    rng = random.Random(1996)
+    kinds = {"equality": 0, "inequality": 0, "lineality": 0, "rays": 0}
+    for _ in range(400):
+        eqs, ges, n = random_dd_cone(rng)
+        row = polyhedra.integer_row([rng.choice((-1, 0, 1, 1, 2)) for _ in range(n)])
+        is_eq = rng.random() < 0.5
+        cone = polyhedra.double_description(eqs, ges, n)
+        before = polyhedra.generators(cone, n)
+        got = polyhedra.generators(polyhedra.dd_step(cone, row, is_eq), n)
+        want = cone_generators(eqs + [row], ges, n) if is_eq else cone_generators(eqs, ges + [row], n)
+        assert got == want, (eqs, ges, row, is_eq)
+        assert polyhedra.generators(cone, n) == before == cone_generators(eqs, ges, n)
+        kinds["equality" if is_eq else "inequality"] += 1
+        kinds["lineality"] += bool(got[0])
+        kinds["rays"] += bool(got[1])
+    assert min(kinds.values()) >= 40, kinds
+
+
 def test_integer_row():
     assert polyhedra.integer_row(V("2/3", -4, 0)) == (1, -6, 0)
     assert polyhedra.integer_row(V("-1/2", "1/3")) == (-3, 2)
@@ -295,8 +316,9 @@ def test_integer_row():
 
 
 def test_cone_generators_nullspace_count(monkeypatch):
-    # pointed cone in R^6 with 10 rows: one nullspace for the lineality
-    # space; the subset enumerator took 1 + C(10, 5) = 253
+    # pointed cone in R^6 with 10 rows: at most one nullspace (none since
+    # the lineality space is read off the DD basis); the subset enumerator
+    # took 1 + C(10, 5) = 253
     units = [V(*(int(i == j) for j in range(6))) for i in range(6)]
     ges = list(units)
     ges += [(1, 1, 0, 0, 0, 0), (0, 1, 1, 0, 0, 0), (0, 0, 1, 1, 1, 0), (1, 0, 0, 0, 1, 1)]
