@@ -36,8 +36,8 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Sequence[Rational] = (), den: Sequence[Rational] = (1,)):
-        n = trim(tuple(x if type(x) is Fraction else Fraction(x) for x in num))
-        d = trim(tuple(x if type(x) is Fraction else Fraction(x) for x in den))
+        n = trim(tuple(x if type(x) is Fraction else rational(x) for x in num))
+        d = trim(tuple(x if type(x) is Fraction else rational(x) for x in den))
         if not d:
             raise ZeroDivisionError("rational function with zero denominator")
         if not n:
@@ -129,7 +129,7 @@ class RatFunc:
 
     def __rtruediv__(self, other):
         o = RatFunc._coerce(other)
-        return o / self
+        return NotImplemented if o is NotImplemented else o / self
 
     def __pow__(self, k: int):
         if k < 0:

@@ -91,7 +91,8 @@ class Gamma:
 
     def scale(self, factor: Rational) -> "Gamma":
         """Multiply by a rational scalar; 0 * inf and negative * inf are errors."""
-        factor = Fraction(factor)
+        if type(factor) is not int:
+            factor = rational(factor)
         if self._value is None:
             if factor <= 0:
                 raise GammaError("cannot scale inf by a nonpositive factor")
@@ -187,7 +188,7 @@ class MinAffine:
             g = _coerce(intercept)
             if g.is_inf:
                 continue
-            s = Fraction(slope)
+            s = rational(slope)
             if s not in finite or g.finite < finite[s]:
                 finite[s] = g.finite
         # t -> b + m*t is minimal exactly where (m, b) minimizes (t, 1) . (m, b)

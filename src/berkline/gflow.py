@@ -44,7 +44,6 @@ from .gamma import Gamma, INF, as_gamma, rational
 from .polyhedra import (
     OPTIMAL,
     UNBOUNDED,
-    canonical_ray,
     dd_step,
     dot,
     double_description,
@@ -155,7 +154,7 @@ def assemble_complex(parts: Mapping) -> CellComplex:
     funcs, seen = [], set()
 
     def add(alpha, c) -> bool:
-        key = canonical_ray(alpha + (c,))
+        key = integer_row(alpha + (c,))
         if key in seen:
             return False
         seen.add(key)

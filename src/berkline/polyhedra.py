@@ -1,15 +1,16 @@
 """Exact rational linear algebra, linear programming, and cone geometry.
 
-Vectors are tuples of exact rationals, int or Fraction.  Constraint
-systems are given as (coefficients, rhs) pairs: equalities mean
-coeffs . x = rhs and inequalities mean coeffs . x >= rhs.  Everything is exact; the simplex
-uses Bland's rule, so it terminates on every input.  Row reduction and
-the simplex pivot on integer rows with one denominator each and convert
-to Fraction only at their results.  Cones are built by the double
-description method on primitive integer rows and rays: one constraint at
+Vectors are tuples of exact rationals: int, Fraction, or what
+gamma.rational reads, so a float raises PreconditionError.  Constraint
+systems are (coefficients, rhs) pairs: equalities mean coeffs . x = rhs
+and inequalities mean coeffs . x >= rhs.  Everything is exact; the simplex
+uses Bland's rule, so it terminates on every input.  Row reduction (so
+``rank``) and the simplex pivot on integer rows with one denominator each
+and convert to Fraction only at their results.  Cones are built by the
+double description method on primitive integer rows and rays, one row at
 a time, with the combinatorial adjacency test on tight-row sets.  A DD
-state can take one more row later, and the lineality basis of a cone is
-read off its final DD basis, which spans nullspace(eqs + ges).
+state can take one more row later; a cone's lineality basis is read off
+its final DD basis, and ``nullspace`` is that basis with no inequalities.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
+
+from .gamma import rational
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -41,7 +44,7 @@ def over_common_denominator(values: Sequence) -> tuple:
     """Exact rationals as (integer list, d): the values times d, their
     least common denominator."""
     ratios = [
-        (v if isinstance(v, (int, Fraction)) else Fraction(v)).as_integer_ratio()
+        (v if isinstance(v, (int, Fraction)) else rational(v)).as_integer_ratio()
         for v in values
     ]
     den = lcm(*(q for _, q in ratios))
@@ -101,37 +104,24 @@ def _reduce(mat: list, columns) -> tuple:
     return mat[:r], pivots
 
 
-def _rref(rows: Sequence, width: int) -> tuple:
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    mat, pivots = _reduce([_int_row(r) for r in rows], range(width))
-    return [tuple(Fraction(v, den) for v in row) for row, den in mat], pivots
-
-
 def rank(rows: Sequence, width: int) -> int:
-    return len(_rref(rows, width)[0])
+    """The number of rows that Gauss-Jordan on integer rows keeps."""
+    return len(_reduce([_int_row(r) for r in rows], range(width))[0])
 
 
 def nullspace(rows: Sequence, width: int) -> list:
-    """Basis of {x : row . x = 0 for every row}."""
-    reduced, pivots = _rref(rows, width)
-    free = [c for c in range(width) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * width
-        vec[f] = Fraction(1)
-        for row, p in zip(reduced, pivots):
-            vec[p] = -row[f]
-        basis.append(tuple(vec))
-    return basis
+    """Basis of {x : row . x = 0 for every row}, the identity on the free
+    columns of the rows' RREF: cone_generators' lineality basis."""
+    return cone_generators(rows, (), width)[0]
 
 
 def canonical_ray(v: Sequence) -> tuple:
     """Scale by a positive rational so the first nonzero entry is +-1."""
+    v = tuple(map(rational, v))
     lead = next((x for x in v if x != 0), None)
     if lead is None:
-        return tuple(map(Fraction, v))
-    scale = Fraction(1) / abs(lead)
-    return tuple(x * scale for x in v)
+        return v
+    return tuple(x / abs(lead) for x in v)
 
 
 def lp_max(objective: Sequence, eqs: Sequence, ges: Sequence, n: int) -> tuple:
@@ -174,7 +164,7 @@ def lp_max(objective: Sequence, eqs: Sequence, ges: Sequence, n: int) -> tuple:
             zrow = tableau[m][0]
             enter = next((j for j in range(active_cols) if zrow[j] > 0), None)
             if enter is None:
-                return OPTIMAL, tableau.pop()[0]
+                return OPTIMAL, tableau.pop()
             # Bland's leaving row: least ratio rhs / coef, ties to the least
             # basic column; denominators cancel, so compare cross products
             leave = None
@@ -195,7 +185,7 @@ def lp_max(objective: Sequence, eqs: Sequence, ges: Sequence, n: int) -> tuple:
             basis[leave] = enter
 
     phase1 = [0] * (2 * n + nslack) + [-1] * m + [0]
-    _, zrow = run_phase(phase1, ncols)
+    _, (zrow, _) = run_phase(phase1, ncols)
     if zrow[-1] != 0:
         return INFEASIBLE, None, None
     # pivot artificials out of the basis; drop rows that are fully redundant
@@ -206,10 +196,11 @@ def lp_max(objective: Sequence, eqs: Sequence, ges: Sequence, n: int) -> tuple:
                 continue
             _pivot(tableau, i, enter)
             basis[i] = enter
-    cost = list(objective[:n]) + [0] * (n - len(objective))
+    # the objective as integers over d: same signs and pivots, optimum / d
+    cost, d = _int_row(list(objective[:n]) + [0] * (n - len(objective)))
     phase2 = cost + [-c for c in cost] + [0] * (nslack + m + 1)
     # artificial columns are excluded from entering, so they stay at zero
-    status, _ = run_phase(phase2, 2 * n + nslack)
+    status, zrow = run_phase(phase2, 2 * n + nslack)
     if status == UNBOUNDED:
         return UNBOUNDED, None, None
     point = [Fraction(0)] * (2 * n)
@@ -218,7 +209,7 @@ def lp_max(objective: Sequence, eqs: Sequence, ges: Sequence, n: int) -> tuple:
             row, den = tableau[i]
             point[b] = Fraction(row[-1], den)
     x = tuple(point[j] - point[n + j] for j in range(n))
-    return OPTIMAL, dot(objective, x), x
+    return OPTIMAL, Fraction(-zrow[0][-1], zrow[1] * d), x
 
 
 def strict_feasible(eqs: Sequence, ges: Sequence, gts: Sequence, n: int):

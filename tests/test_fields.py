@@ -213,6 +213,15 @@ def test_ratfunc_normal_form():
     assert not RatFunc((0,))
 
 
+@pytest.mark.parametrize("other", [2.5, "a"])
+def test_ratfunc_reflected_division_by_a_non_element(other):
+    # __rtruediv__ declines like the other operators, so Python raises
+    # TypeError instead of recursing
+    with pytest.raises(TypeError):
+        other / RatFunc((1, 1))
+    assert 1 / RatFunc((1, 1)) == RatFunc((1,), (1, 1))
+
+
 def normal_form_by_gcd(num, den):
     """(num, den) of a RatFunc as the constructor made it for every
     denominator before constant denominators skipped the gcd; kept as the

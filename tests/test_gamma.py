@@ -1,16 +1,51 @@
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations
+from numbers import Number
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from berkline.errors import PreconditionError
-from berkline.fields import PAdicField, TAdicField
+from berkline.fields import PAdicField, RatFunc, TAdicField
 from berkline.gamma import INF, Gamma, GammaError, MinAffine, as_gamma, gmax, gmin, rational
-from berkline.gflow import build_complex, flow
+from berkline.gflow import (
+    build_complex,
+    core_bounds,
+    exit_time,
+    flow,
+    lipschitz_bound,
+    locate_cell,
+    xi_value,
+)
 from berkline.newton import newton_polygon, quadratic_residual_square, root_valuations_along_path
-from berkline.pline import STD, PLinePoint, gauss_val, normalize_point, psi, psi_divisor, simple_point
-from berkline.trop import polydisk_gauss_val, trop_normalize
+from berkline.pline import (
+    STD,
+    PLinePoint,
+    depth,
+    gauss_val,
+    metric_d,
+    normalize_point,
+    psi,
+    psi_divisor,
+    retract,
+    rho,
+    simple_point,
+    skeleton,
+)
+from berkline.polyhedra import (
+    canonical_ray,
+    cone_generators,
+    integer_row,
+    lp_max,
+    nullspace,
+    over_common_denominator,
+    rank,
+    strict_feasible,
+)
+from berkline.trop import polydisk_gauss_val, tau_h, trop_normalize
+from test_acceptance import _gflow_instances
+from test_pline import centers, raw_divisors, raw_points, tadic_elements, tadic_series
 
 rationals = st.fractions(max_denominator=40)
 gammas = st.one_of(rationals.map(Gamma), st.just(INF))
@@ -177,6 +212,7 @@ def test_known_envelope():
 
 
 Q5 = PAdicField(5)
+QT = TAdicField()
 PROFILE = root_valuations_along_path(Q5, [[0, 5, -1], [], [1]], 0)
 BALL = PLinePoint(STD, Fraction(1), Gamma(1))
 PLANE = build_complex({
@@ -222,3 +258,137 @@ def test_value_group_inputs(reader, value):
     else:
         with pytest.raises(PreconditionError, match="expected an exact rational|bad rational literal"):
             fn(value)
+
+
+# every API entry that reads an exact rational (not a value-group element)
+# from its caller
+RATIONAL_READERS = {
+    "RatFunc numerator": lambda q: RatFunc((1, q)),
+    "RatFunc denominator": lambda q: RatFunc((1,), (q, 1)),
+    "MinAffine slope": lambda q: MinAffine([(q, 0)]),
+    "Gamma.scale": lambda q: Gamma(2).scale(q),
+    "lp_max objective": lambda q: lp_max((q,), [], [((-1,), -2)], 1),
+    "lp_max row": lambda q: lp_max((1,), [((q,), 1)], [], 1),
+    "lp_max rhs": lambda q: lp_max((1,), [], [((-1,), q)], 1),
+    "strict_feasible": lambda q: strict_feasible([], [], [((1,), q), ((-1,), -1)], 1),
+    "integer_row": lambda q: integer_row((q, 1)),
+    "over_common_denominator": lambda q: over_common_denominator((q, 1)),
+    "rank": lambda q: rank([(q, 1), (1, 1)], 2),
+    "nullspace": lambda q: nullspace([(q, 1)], 2),
+    "cone_generators": lambda q: cone_generators([], [(q, 1)], 2),
+    "canonical_ray": lambda q: canonical_ray((0, q, 1)),
+}
+
+
+@pytest.mark.parametrize("value", [0.5, "x", None, "3/4"])
+@pytest.mark.parametrize("reader", sorted(RATIONAL_READERS))
+def test_rational_inputs(reader, value):
+    fn = RATIONAL_READERS[reader]
+    if value == "3/4":
+        assert fn(value) == fn(Fraction(3, 4))
+    else:
+        with pytest.raises(PreconditionError, match="expected an exact rational|bad rational literal"):
+            fn(value)
+
+
+def count_exact_numbers(answer) -> int:
+    """The numbers inside an answer, through containers and the attributes
+    of objects, each asserted to be a Gamma, int, Fraction or RatFunc with
+    exact parts: no float leaves the API."""
+    todo, seen, count = [answer], set(), 0
+    while todo:
+        x = todo.pop()
+        if x is None or isinstance(x, (str, bool)):
+            continue
+        if isinstance(x, Gamma):
+            assert x.is_inf or type(x.finite) is Fraction, x
+        elif isinstance(x, RatFunc):
+            assert all(type(v) is Fraction for v in x.num + x.den), x
+        elif isinstance(x, Number):
+            assert type(x) in (int, Fraction), (type(x), x)
+        elif id(x) not in seen:
+            seen.add(id(x))
+            if isinstance(x, Mapping):
+                todo += [*x.keys(), *x.values()]
+            elif isinstance(x, (tuple, list, set, frozenset)):
+                todo += x
+            else:
+                slots = [n for c in type(x).__mro__ for n in getattr(c, "__slots__", ())]
+                assert slots or hasattr(x, "__dict__"), type(x)
+                todo += [getattr(x, n) for n in slots if hasattr(x, n)]
+                todo += vars(x).values() if hasattr(x, "__dict__") else ()
+            continue
+        count += 1
+    return count
+
+
+def assert_pline_answers_exact(field, D, x, coeffs, a, b):
+    ball = PLinePoint(STD, x.center, Gamma(0) if x.radius.is_inf else x.radius)
+    answers = (
+        depth(field, x),
+        rho(field, x, D),
+        gauss_val(field, coeffs, ball),
+        metric_d(field, simple_point(field, a), simple_point(field, b)),
+        retract(field, x, D),
+        skeleton(field, D),
+    )
+    assert count_exact_numbers(answers) >= len(answers)
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw_divisors(Q5, centers), raw_points(Q5, centers), st.lists(centers, min_size=1, max_size=4),
+       centers, centers)
+def test_pline_answers_are_exact_q5(D, x, coeffs, a, b):
+    assert_pline_answers_exact(Q5, D, x, coeffs, a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(raw_divisors(QT, tadic_series()), raw_points(QT, tadic_series()),
+       st.lists(tadic_elements(), min_size=1, max_size=4), tadic_series(), tadic_series())
+def test_pline_answers_are_exact_qt(D, x, coeffs, a, b):
+    assert_pline_answers_exact(QT, D, x, coeffs, a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_profile_and_trop_answers_are_exact(data):
+    field, elements = data.draw(st.sampled_from([(Q5, centers), (QT, tadic_elements())]))
+    lower = data.draw(st.lists(st.lists(elements, max_size=3), min_size=1, max_size=4))
+    profile = root_valuations_along_path(field, lower + [[1]], data.draw(elements))
+    point = data.draw(raw_points(field, elements))
+    # x_0 and e x_0 + x_1 never vanish together
+    image = tau_h(field, [[1, 0], [data.draw(elements), 1]], point)
+    assert count_exact_numbers((profile, image)) >= 2
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_flow_answers_are_exact(data):
+    K = data.draw(st.sampled_from(_gflow_instances()))
+    coords = st.fractions(min_value=0, max_value=8, max_denominator=2)
+    x = tuple(data.draw(coords) for _ in range(K.n))
+    t = data.draw(st.one_of(st.just(INF), coords.map(Gamma)))
+    e = tuple(data.draw(st.integers(-2, 2)) for _ in range(K.n - 1)) + (1,)
+    answers = (
+        flow(K, t, x),
+        core_bounds(K),
+        exit_time(K, locate_cell(K, x), e, x),
+        lipschitz_bound(K),
+        xi_value(K, 0, x),
+    )
+    assert count_exact_numbers(answers) >= len(answers)
+
+
+small_rationals = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_polyhedra_answers_are_exact(data):
+    n = data.draw(st.integers(1, 3))
+    row = st.tuples(*[small_rationals] * n)
+    eqs = data.draw(st.lists(st.tuples(row, small_rationals), max_size=1))
+    ges = data.draw(st.lists(st.tuples(row, small_rationals), max_size=4))
+    E, G = [a for a, _ in eqs], [a for a, _ in ges]
+    answers = (lp_max(data.draw(row), eqs, ges, n), nullspace(E + G, n), cone_generators(E, G, n))
+    count_exact_numbers(answers)

@@ -30,11 +30,13 @@ from berkline.gflow import (
 from berkline.polyhedra import (
     OPTIMAL,
     UNBOUNDED,
+    canonical_ray,
     cone_generators,
     dot,
     lp_max,
     strict_feasible,
 )
+from berkline.spec import FLOW_LAYOUT, walk
 from test_acceptance import _GFLOW_SIZES, _gflow_instances, _gflow_layout, _random_start
 
 
@@ -139,6 +141,69 @@ def test_duplicate_functionals_collapse():
         }
     )
     assert len(K.functionals) == 2  # x_a and -x_a stay distinct, 2x_a folds
+
+
+def functionals_by_canonical_ray(parts):
+    """assemble_complex's functional list as it was keyed by canonical_ray,
+    kept as the oracle of the integer-row key: the first functional on each
+    positive ray of (alpha, c), closed under the symmetry permutations."""
+    w = parts["w"]
+    funcs, seen = [], set()
+
+    def add(alpha, c) -> bool:
+        key = canonical_ray(alpha + (c,))
+        if key in seen:
+            return False
+        seen.add(key)
+        funcs.append((alpha, c))
+        return True
+
+    for f in parts["functionals"]:
+        add(f["alpha"], f["c"])
+    changed = True
+    while changed:
+        changed = False
+        for perm in parts["symmetry"]:
+            source = {perm[name]: j for j, name in enumerate(w)}
+            for alpha, c in list(funcs):
+                changed |= add(tuple(alpha[source[name]] for name in w), c)
+    return funcs
+
+
+def test_functional_dedupe_matches_canonical_ray_key():
+    # the 20 acceptance layouts, and copies with functionals scaled by
+    # positive rationals, repeated (scaled again), and closed under a swap
+    layout_rng, rng = random.Random(707), random.Random(26)
+
+    def scaled(f):
+        k = Fraction(rng.randint(1, 6), rng.randint(1, 4))
+        return {
+            "alpha": {name: str(k * Fraction(v)) for name, v in f["alpha"].items()},
+            "c": str(k * Fraction(f["c"])),
+        }
+
+    folded = 0
+    for n, extra in _GFLOW_SIZES:
+        layout = _gflow_layout(layout_rng, n, extra)
+        variants = [layout]
+        for _ in range(3):
+            funcs = [scaled(f) if rng.random() < 0.5 else f for f in layout["functionals"]]
+            for f in rng.sample(funcs, rng.randint(1, len(funcs))):
+                funcs.insert(rng.randint(0, len(funcs)), scaled(f))
+            copy = dict(layout, functionals=funcs)
+            if n >= 3 and rng.random() < 0.5:
+                a, b = layout["w"][:2]
+                copy["symmetry"] = [{**{name: name for name in layout["w"]}, a: b, b: a}]
+            variants.append(copy)
+        for v in variants:
+            parts = walk(FLOW_LAYOUT, v)
+            K = gflow.assemble_complex(parts)
+            want = functionals_by_canonical_ray(parts)
+            assert [(f.alpha, f.c) for f in K.functionals] == want, v
+            folded += any((f["alpha"], f["c"]) not in want for f in parts["functionals"])
+    # every copy repeats a ray; it drops a functional unless all repeats
+    # were scaled by 1
+    assert folded >= 50, folded
 
 
 def test_thirteen_cells():

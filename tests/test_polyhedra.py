@@ -9,7 +9,6 @@ from berkline.polyhedra import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
-    _rref,
     canonical_ray,
     cone_generators,
     dot,
@@ -159,14 +158,14 @@ def cone_generators_by_subsets(eqs, ges, n):
     nullspace for every rank-sized row subset, rays in subset order."""
     E = [tuple(map(Fraction, row)) for row in eqs]
     G = [tuple(map(Fraction, row)) for row in ges]
-    lin = nullspace(E + G, n)
-    lin_rref, lin_piv = _rref(lin, n)
+    lin = nullspace_by_rref(E + G, n)
+    lin_rref, lin_piv = rref_fraction(lin, n)
     # a ray is cut out by E and k rows of G independent modulo E; a larger
     # subset has the row space, hence the RREF and candidate, of k of them
-    k = n - len(lin) - 1 - rank(E, n)
+    k = n - len(lin) - 1 - len(rref_fraction(E, n)[0])
     rays = {}
     for S in combinations(range(len(G)), k) if k >= 0 else ():
-        ns = nullspace(E + [G[j] for j in S], n)
+        ns = nullspace_by_rref(E + [G[j] for j in S], n)
         if len(ns) != len(lin) + 1:
             continue
         # lin lies in ns, so some basis vector of ns reduces to nonzero
@@ -183,14 +182,14 @@ def cone_generators_all_sizes(eqs, ges, n):
     """The subset enumerator over every size 0..n, kept as an oracle."""
     E = [tuple(map(Fraction, row)) for row in eqs]
     G = [tuple(map(Fraction, row)) for row in ges]
-    lin = nullspace(E + G, n)
-    lin_rref, lin_piv = _rref(lin, n)
+    lin = nullspace_by_rref(E + G, n)
+    lin_rref, lin_piv = rref_fraction(lin, n)
     target = len(lin) + 1
     rays = {}
     max_size = min(len(G), n)
     for size in range(0, max_size + 1):
         for S in combinations(range(len(G)), size):
-            ns = nullspace(E + [G[j] for j in S], n)
+            ns = nullspace_by_rref(E + [G[j] for j in S], n)
             if len(ns) != target:
                 continue
             cand = None
@@ -366,6 +365,21 @@ def rref_fraction(rows, width: int) -> tuple:
         if r == len(mat):
             break
     return [tuple(row) for row in mat[:r]], pivots
+
+
+def nullspace_by_rref(rows, width: int) -> list:
+    """The nullspace basis read off the Fraction RREF, kept as the oracle of
+    nullspace: for each free column f, the vector with 1 at f, 0 at the
+    other free columns, and minus the RREF's column f at the pivots."""
+    reduced, pivots = rref_fraction(rows, width)
+    basis = []
+    for f in (c for c in range(width) if c not in pivots):
+        vec = [Fraction(0)] * width
+        vec[f] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            vec[p] = -row[f]
+        basis.append(tuple(vec))
+    return basis
 
 
 def lp_max_fraction(objective, eqs, ges, n: int) -> tuple:
@@ -560,8 +574,10 @@ def test_rref_matches_fraction_oracle():
             rows.insert(rng.randrange(len(rows) + 1), tuple(x + k * y for x, y in zip(a, b)))
         if rng.random() < 0.2:
             rows.append(tuple(Fraction(0) for _ in range(width)))
-        got = _rref(rows, width)
-        assert got == rref_fraction(rows, width), (rows, width)
-        assert all(type(v) is Fraction for row in got[0] for v in row)
-        deficient += len(got[0]) < len(rows)
+        got = rank(rows, width)
+        assert got == len(rref_fraction(rows, width)[0]), (rows, width)
+        basis = nullspace(rows, width)
+        assert basis == nullspace_by_rref(rows, width), (rows, width)
+        assert all(type(v) is Fraction for row in basis for v in row)
+        deficient += got < len(rows)
     assert deficient >= 100, deficient
