@@ -11,14 +11,15 @@ with x_h = infinity never move.
 
 All geometry is exact: feasibility and suprema run through the rational
 simplex in polyhedra, recession cones through the double description
-method, one run per cell; the cone of the recession slice is that run's
-state cut by v_h = 0 in one more DD step.  The complex keeps the
-functional and region rows (alpha, c) as given, as the record of its
-input, and computes on one primitive integer row for each, a positive
-multiple that changes no sign, feasible set, LP optimum, exit ratio or
-recession cone: cells, core bounds, cell location,
-the region test of a flow's start, exit times and cones all read those
-rows, against points brought to one common denominator.
+method, one run per cell: its state after the equality rows gives the
+cell's dimension, its final state the recession cone, and the cone of the
+recession slice is that state cut by v_h = 0 in one more DD step.  The
+complex keeps the functional and region rows (alpha, c) as given, as the
+record of its input, and computes on one primitive integer row for each,
+a positive multiple that changes no sign, feasible set, LP optimum, exit
+ratio or recession cone: cells, core bounds, cell location, the region
+test of a flow's start, exit times and cones all read those rows, against
+points brought to one common denominator.
 Steps compose as x - tau * e_C and restart in the cell cut out by the
 functionals binding at the exit time tau, which is 0 for a direction
 leaving its cell's affine hull; cell dimensions strictly decrease at
@@ -50,7 +51,6 @@ from .polyhedra import (
     integer_row,
     lp_max,
     over_common_denominator,
-    rank,
     strict_feasible,
 )
 from .spec import FLOW_LAYOUT, GAMMA_POINT, walk
@@ -245,22 +245,25 @@ def _per_cell(fn):
     return memoized
 
 
-@_per_cell
 def cell_dimension(K: CellComplex, cell: Cell) -> int:
-    eqs, _ = _cone_rows(K, cell)
-    return K.n - rank(eqs, K.n)
+    """The size of the lineality basis the cell's equality rows leave."""
+    return len(_recession(K, cell)[0][0])
 
 
 @_per_cell
 def _recession(K: CellComplex, cell: Cell) -> tuple:
-    """The DD state (basis, rays, rows) of the cell's recession cone."""
+    """(hull, cone): the DD states (basis, rays, rows) after the cell's
+    equality rows and after all its recession cone rows, from one run."""
     eqs, ges = _cone_rows(K, cell)
-    return double_description(eqs, ges, K.n)
+    hull = cone = double_description(eqs, (), K.n)
+    for row in ges:
+        cone = dd_step(cone, row, False)
+    return hull, cone
 
 
 def _m_bound(K: CellComplex, cell: Cell, i: int):
     """Minimal m in N with x_i <= m*x_h + c valid on the cell, or None."""
-    basis, rays, _ = _recession(K, cell)
+    basis, rays, _ = _recession(K, cell)[1]
     h = K.h_index
     # lo = lo_n / lo_d and hi = hi_n / hi_d with positive denominators, the
     # ratios g_i / g_h compared by cross-multiplication
@@ -299,7 +302,7 @@ def recession_barycenter(K: CellComplex, cell: Cell) -> tuple:
         return tuple(Fraction(0) for _ in range(K.n))
     # the slice's cone is the recession cone cut by v_h = 0: one more DD step
     unit_h = tuple(int(j == K.h_index) for j in range(K.n))
-    lin, rays, _ = dd_step(_recession(K, cell), unit_h, True)
+    lin, rays, _ = dd_step(_recession(K, cell)[1], unit_h, True)
     if lin:
         raise InconsistencyError(
             "recession slice of an unstable cell has a lineality direction"

@@ -97,7 +97,8 @@ def newton_polygon(coeff_vals: Sequence) -> NewtonPolygon:
 
 
 def coeff_val_path(field, coeffs: Sequence, center) -> MinAffine:
-    """The function t -> gauss_val(a_j, B(c, t)) in canonical form."""
+    """The Gauss valuation t -> min_i (val b_i + i*t) on B(c, t), b_i the
+    Taylor coefficients at c, in canonical form; gauss_val reads it too."""
     cs = trim([field.coerce(a) for a in coeffs])
     if not cs:
         return MinAffine()

@@ -19,6 +19,8 @@ unit disk: balls containing 0 become ``(std, 0, r)`` (with r < 0 when the
 ball straddles the unit circle), and balls of units keep a truncated
 center.  Balls of elements of negative valuation live in the inv chart
 with the radius rescaled to the y coordinate; see :func:`normalize_point`.
+:func:`gauss_val` reads a polynomial's valuation at a point as given: on a
+ball it is ``newton.coeff_val_path`` evaluated at the radius.
 
 The tree order is rooted at the Gauss point, the radius-0 ball around 0.
 :func:`depth` is the tree distance from that root, :func:`join` is the
@@ -41,7 +43,8 @@ from typing import Optional, Sequence
 
 from .errors import PreconditionError
 from .gamma import INF, INF_WORDS, Gamma, as_gamma, gmax, gmin
-from .polys import poly_eval, taylor_shift
+from .newton import coeff_val_path
+from .polys import poly_eval
 from .tree import MetricTree
 
 __all__ = [
@@ -286,19 +289,17 @@ def gauss_val(field, coeffs: Sequence, p: PLinePoint) -> Gamma:
     it to the other chart and the polynomial does not move with it.  For a
     ball B(c, r) the value is min_i (val(a_i) + i*r) over the coefficients
     a_i of the expansion around c, which is valid for every center and
-    radius; for a simple point it is val(f(center)).  The zero polynomial
-    gives inf.
+    radius, so it is ``coeff_val_path`` evaluated at the radius; for a simple
+    point it is val(f(center)).  The zero polynomial gives inf.
     """
     c = field.coerce(p.center)
     radius = as_gamma(p.radius)
+    if not radius.is_inf:
+        return coeff_val_path(field, coeffs, c).eval(radius)
     cs = [field.coerce(a) for a in coeffs]
     if all(a == field.zero for a in cs):
         return INF
-    if radius.is_inf:
-        return field.val(poly_eval(cs, c))
-    shifted = taylor_shift(cs, c)
-    r = radius.finite
-    return gmin([field.val(b) + Gamma(i * r) for i, b in enumerate(shifted)])
+    return field.val(poly_eval(cs, c))
 
 
 def _point_sort_key(field, p: PLinePoint, g: Gamma):

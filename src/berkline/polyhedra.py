@@ -4,9 +4,9 @@ Vectors are tuples of exact rationals: int, Fraction, or what
 gamma.rational reads, so a float raises PreconditionError.  Constraint
 systems are (coefficients, rhs) pairs: equalities mean coeffs . x = rhs
 and inequalities mean coeffs . x >= rhs.  Everything is exact; the simplex
-uses Bland's rule, so it terminates on every input.  Row reduction (so
-``rank``) and the simplex pivot on integer rows with one denominator each
-and convert to Fraction only at their results.  Cones are built by the
+uses Bland's rule, so it terminates on every input.  The simplex and the
+row reduction in ``generators`` pivot on integer rows with one denominator
+each and convert to Fraction only at their results.  Cones are built by the
 double description method on primitive integer rows and rays, one row at
 a time, with the combinatorial adjacency test on tight-row sets.  A DD
 state can take one more row later; a cone's lineality basis is read off
@@ -42,9 +42,10 @@ def _norm(row: list, den: int) -> tuple:
 
 def over_common_denominator(values: Sequence) -> tuple:
     """Exact rationals as (integer list, d): the values times d, their
-    least common denominator."""
+    least common denominator.  An int or a Fraction is used as it is, any
+    other value (a bool too) is read by gamma.rational."""
     ratios = [
-        (v if isinstance(v, (int, Fraction)) else rational(v)).as_integer_ratio()
+        (v if type(v) in (int, Fraction) else rational(v)).as_integer_ratio()
         for v in values
     ]
     den = lcm(*(q for _, q in ratios))
@@ -102,11 +103,6 @@ def _reduce(mat: list, columns) -> tuple:
         pivots.append(col)
         r += 1
     return mat[:r], pivots
-
-
-def rank(rows: Sequence, width: int) -> int:
-    """The number of rows that Gauss-Jordan on integer rows keeps."""
-    return len(_reduce([_int_row(r) for r in rows], range(width))[0])
 
 
 def nullspace(rows: Sequence, width: int) -> list:

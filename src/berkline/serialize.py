@@ -33,7 +33,7 @@ from .pline import (
     skeleton,
     skeleton_contains,
 )
-from .polyhedra import rank
+from .polyhedra import double_description
 from .spec import FORMAT, FORMATS, SCENE, TASKS, walk
 from .topo import family_sweep
 from .trop import tau_h
@@ -206,13 +206,8 @@ def _run_newton(field, args, fmt, seed, check) -> str:
 def _root_json(fn, mult) -> dict:
     if fn.is_infinite:
         return {"mult": mult, "value": "inf"}
-    if len(fn.terms) == 1:
-        s, o = fn.terms[0]
-        return {"mult": mult, "slope": rat_str(s), "intercept": rat_str(o)}
-    return {
-        "mult": mult,
-        "terms": [[rat_str(s), rat_str(o)] for s, o in fn.terms],
-    }
+    (s, o), = fn.terms
+    return {"mult": mult, "slope": rat_str(s), "intercept": rat_str(o)}
 
 
 def _profile_json(profile, events) -> dict:
@@ -365,7 +360,7 @@ def _check_trop(field, table, inputs, values, seed) -> None:
 def _run_flow(field, args, fmt, seed, check) -> str:
     K = assemble_complex(args)
     unit_h = [int(j == K.h_index) for j in range(K.n)]
-    if rank([alpha for alpha, _ in K._rows] + [unit_h], K.n) < K.n:
+    if double_description([alpha for alpha, _ in K._rows] + [unit_h], (), K.n)[0]:
         # a direction unseen by every functional and by h is a lineality
         # direction of every cell, so no cell is stable
         raise SceneError("flow.functionals: expected functionals spanning the coordinates with h")

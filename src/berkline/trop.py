@@ -46,9 +46,8 @@ def trop_normalize(raw: Sequence) -> TropPoint:
     return TropPoint(tuple(v - low for v in vals))
 
 
-def _dehomogenize(field, coeffs: Sequence, chart: str) -> list:
-    cs = [field.coerce(a) for a in coeffs]
-    return cs if chart != INV else list(reversed(cs))
+def _dehomogenize(row: list, chart: str) -> list:
+    return row if chart != INV else row[::-1]
 
 
 def _bivariate_tuple(field, polys: Sequence) -> list:
@@ -88,7 +87,7 @@ def tau_h(field, polys, x) -> TropPoint:
 def _tau_line(field, polys, x: PLinePoint) -> TropPoint:
     rows = _bivariate_tuple(field, polys)
     q = normalize_point(field, x)
-    vals = [gauss_val(field, _dehomogenize(field, row, q.chart), q) for row in rows]
+    vals = [gauss_val(field, _dehomogenize(row, q.chart), q) for row in rows]
     if all(v.is_inf for v in vals):
         raise PreconditionError("every tuple entry vanishes at the point")
     return trop_normalize(vals)

@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from berkline.cli import main
 from berkline.errors import PreconditionError, SceneError
 from berkline.serialize import FORMATS, run_scene
+from berkline.spec import TASKS
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -121,6 +123,54 @@ def test_bundled_scene_bytes_match_golden(scene):
             else:
                 with pytest.raises(SceneError):
                     run_scene(body, fmt=fmt, check=check)
+
+
+CLI_RUNS = [
+    (scene, fmt, check)
+    for scene in sorted(p.stem for p in SCENES.glob("*.json"))
+    for fmt in (None,) + FORMATS
+    for check in (False, True)
+]
+
+
+@pytest.mark.parametrize("scene,fmt,check", CLI_RUNS)
+def test_cli_run_matches_golden(scene, fmt, check, capsysbinary):
+    # each bundled scene with its own format and with every --format, with
+    # and without --check, run in-process: a format the task renders gives
+    # the golden bytes, any other exits 1 naming the formats it renders
+    path = SCENES / f"{scene}.json"
+    body = json.loads(path.read_text())
+    (task,) = (t for t in TASKS if t in body)
+    args = ["--scene", str(path)] + (["--format", fmt] if fmt else []) + (["--check"] if check else [])
+    code = main(args)
+    out, err = capsysbinary.readouterr()
+    golden = GOLDEN / f"{scene}.{fmt or body.get('format', 'json')}"
+    if golden.exists():
+        assert (code, out, err) == (0, golden.read_bytes(), b"")
+    else:
+        assert (code, out) == (1, b"")
+        prefix = f"scene error: {task} scenes render as ".encode()
+        assert err.startswith(prefix) and err.endswith(b"\n"), err
+        named = set(err[len(prefix) : -1].decode().replace(",", " ").split()) - {"or"}
+        assert named == {p.suffix[1:] for p in GOLDEN.glob(f"{scene}.*")}, err
+
+
+def test_newton_root_at_y_zero_renders_as_inf():
+    # y (y^2 + 5x - x^2): beside the roots of the quadratic, the root y = 0
+    # has valuation inf on every piece
+    field = {"kind": "padic", "p": 5}
+    cover = {"field": field, "newton": {"center": "0", "coeffs": [[], ["0", "5", "-1"], [], ["1"]]}}
+    quad = {"field": field, "newton": {"center": "0", "coeffs": [["0", "5", "-1"], [], ["1"]]}}
+    with_inf, without = (json.loads(run_scene(s, fmt="json")) for s in (cover, quad))
+    assert with_inf["events"] == without["events"]
+    assert [p["roots"] for p in with_inf["pieces"]] == [
+        p["roots"] + [{"mult": 1, "value": "inf"}] for p in without["pieces"]
+    ]
+    rows = run_scene(cover, fmt="csv").decode().splitlines()
+    assert [r for r in rows if ",inf,inf," not in r] == run_scene(quad, fmt="csv").decode().splitlines()
+    assert [r.split(",")[:2] for r in rows if ",inf,inf," in r] == [["0", "1"], ["1", "inf"]]
+    # the svg draws only finite valuations
+    assert run_scene(cover, fmt="svg") == run_scene(quad, fmt="svg")
 
 
 FUZZ_TASKS = ("skeleton", "retract", "newton", "trop", "flow", "family")

@@ -36,11 +36,11 @@ from berkline.pline import (
 from berkline.polyhedra import (
     canonical_ray,
     cone_generators,
+    double_description,
     integer_row,
     lp_max,
     nullspace,
     over_common_denominator,
-    rank,
     strict_feasible,
 )
 from berkline.trop import polydisk_gauss_val, tau_h, trop_normalize
@@ -273,14 +273,14 @@ RATIONAL_READERS = {
     "strict_feasible": lambda q: strict_feasible([], [], [((1,), q), ((-1,), -1)], 1),
     "integer_row": lambda q: integer_row((q, 1)),
     "over_common_denominator": lambda q: over_common_denominator((q, 1)),
-    "rank": lambda q: rank([(q, 1), (1, 1)], 2),
+    "double_description": lambda q: double_description([(q, 1), (1, 1)], (), 2),
     "nullspace": lambda q: nullspace([(q, 1)], 2),
     "cone_generators": lambda q: cone_generators([], [(q, 1)], 2),
     "canonical_ray": lambda q: canonical_ray((0, q, 1)),
 }
 
 
-@pytest.mark.parametrize("value", [0.5, "x", None, "3/4"])
+@pytest.mark.parametrize("value", [0.5, True, "x", None, "3/4"])
 @pytest.mark.parametrize("reader", sorted(RATIONAL_READERS))
 def test_rational_inputs(reader, value):
     fn = RATIONAL_READERS[reader]

@@ -38,6 +38,7 @@ from berkline.polyhedra import (
 )
 from berkline.spec import FLOW_LAYOUT, walk
 from test_acceptance import _GFLOW_SIZES, _gflow_instances, _gflow_layout, _random_start
+from test_polyhedra import rref_fraction
 
 
 def fr(x):
@@ -389,6 +390,29 @@ def test_core_bounds_plane():
         core_bounds(build_complex({"w": ["a", "h"], "h": "h"}))
 
 
+def test_core_bounds_vacuous_when_no_stable_closure_meets_the_region():
+    K = build_complex(
+        {
+            "w": ["a", "h"],
+            "h": "h",
+            "functionals": [{"alpha": {"a": 1}, "c": 0}],
+            "region": [{"alpha": {"a": 1}, "c": 5}],
+        }
+    )
+    # a < 0 and a = 0 are stable, a > 0 is not, and the region is a >= 5
+    assert [classify_D0(K, cell) for cell in cells(K)] == [True, True, False]
+    assert core_bounds(K) == {"a": (0, Fraction(0)), "h": (0, Fraction(0))}
+
+
+def test_cell_dimension_matches_fraction_rank():
+    # n minus the rank of the cell's = rows, read by the Fraction RREF from
+    # the functionals as given
+    for K in _gflow_instances():
+        for cell in cells(K):
+            eqs = [f.alpha for f, s in zip(K.functionals, cell.pattern) if s == "="]
+            assert cell_dimension(K, cell) == K.n - len(rref_fraction(eqs, K.n)[0]), cell
+
+
 coords2 = st.fractions(min_value=0, max_value=8, max_denominator=6)
 coords3 = st.tuples(coords2, coords2, coords2)
 
@@ -497,20 +521,23 @@ def test_per_cell_memo_counts_cone_enumerations(monkeypatch):
     K = plane()
     unstable = locate_cell(K, [3, 1])
     stable = locate_cell(K, [1, 1])
-    # one DD run for the recession cone; the recession slice is one more
-    # DD step on it, not a second run
+    # one DD run on the equality rows, then one DD step per strict sign (3
+    # here); the recession slice is one more DD step, not a second run, and
+    # the dimension reads the run's state after the equality rows
     for _ in range(3):
         assert classify_D0(K, unstable) is False
         assert recession_barycenter(K, unstable) == (fr(1), fr(0))
-    assert (len(runs), len(steps)) == (1, 1)
-    # a stable cell needs only its recession cone
+        assert cell_dimension(K, unstable) == 2
+    assert (len(runs), len(steps)) == (1, 4)
+    # a stable cell (one = sign, two strict) needs only its recession cone
     for _ in range(3):
         assert classify_D0(K, stable) is True
         assert recession_barycenter(K, stable) == (fr(0), fr(0))
-    assert (len(runs), len(steps)) == (2, 1)
+        assert cell_dimension(K, stable) == 1
+    assert (len(runs), len(steps)) == (2, 6)
     # a complex built again from the same layout starts with an empty memo
     assert classify_D0(plane(), unstable) is False
-    assert (len(runs), len(steps)) == (3, 1)
+    assert (len(runs), len(steps)) == (3, 9)
 
 
 def test_xi_value():

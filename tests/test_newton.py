@@ -22,6 +22,7 @@ from berkline.newton import (
 )
 from berkline.pline import PLinePoint, STD, gauss_val
 from berkline.polys import DEGREE_CAP, poly_mul, poly_neg, poly_sub, taylor_shift, trim
+from test_pline import gauss_val_by_shift, tadic_elements
 
 Q3 = PAdicField(3)
 Q5 = PAdicField(5)
@@ -93,13 +94,17 @@ def test_coeff_val_path_examples():
 @given(
     st.lists(st.fractions(min_value=-30, max_value=30, max_denominator=12), min_size=1, max_size=5),
     st.fractions(min_value=-20, max_value=20, max_denominator=10),
-    st.fractions(min_value=0, max_value=7, max_denominator=4),
+    st.lists(tadic_elements(), min_size=1, max_size=4),
+    tadic_elements(),
+    st.fractions(min_value=-7, max_value=7, max_denominator=4),
 )
-def test_coeff_val_path_matches_gauss_val(coeffs, c, t):
-    fn = coeff_val_path(Q5, coeffs, c)
-    ball = PLinePoint(STD, Fraction(c), Gamma(t))
-    assert fn.eval(t) == gauss_val(Q5, coeffs, ball)
-    assert fn.eval(INF) == gauss_val(Q5, coeffs, PLinePoint(STD, Fraction(c), INF))
+def test_coeff_val_path_matches_gauss_val(q5_coeffs, q5_c, qt_coeffs, qt_c, t):
+    for field, coeffs, c in ((Q5, q5_coeffs, q5_c), (QT, qt_coeffs, qt_c)):
+        fn = coeff_val_path(field, coeffs, c)
+        ball = PLinePoint(STD, field.coerce(c), Gamma(t))
+        assert fn.eval(t) == gauss_val_by_shift(field, coeffs, ball) == gauss_val(field, coeffs, ball)
+        simple = PLinePoint(STD, field.coerce(c), INF)
+        assert fn.eval(INF) == gauss_val_by_shift(field, coeffs, simple) == gauss_val(field, coeffs, simple)
 
 
 def profile_of(field, rows, c):

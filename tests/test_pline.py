@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from berkline.errors import PreconditionError
 from berkline.fields import PAdicField, RatFunc, TAdicField
-from berkline.gamma import INF, Gamma
+from berkline.gamma import INF, Gamma, as_gamma, gmin
 from berkline.pline import (
     INV,
     STD,
@@ -29,6 +29,7 @@ from berkline.pline import (
 )
 from berkline import pline
 from berkline.pline import _AT_INFINITY, _as_xball, _from_xball, _point_sort_key
+from berkline.polys import poly_eval, taylor_shift
 from berkline.tree import MetricTree
 
 Q5 = PAdicField(5)
@@ -249,6 +250,23 @@ def test_join_laws(x, y):
 @given(points())
 def test_join_with_root_is_root(x):
     assert join(Q5, GAUSS, x) == GAUSS
+
+
+def gauss_val_by_shift(field, coeffs, p):
+    """The valuation of a polynomial at a ball point by its definition, the
+    oracle of gauss_val and coeff_val_path: min_i (val(b_i) + i*r) over the
+    Taylor coefficients b_i at the center of B(c, r), val(f(c)) at a simple
+    point, inf for the zero polynomial."""
+    c = field.coerce(p.center)
+    radius = as_gamma(p.radius)
+    cs = [field.coerce(a) for a in coeffs]
+    if all(a == field.zero for a in cs):
+        return INF
+    if radius.is_inf:
+        return field.val(poly_eval(cs, c))
+    shifted = taylor_shift(cs, c)
+    r = radius.finite
+    return gmin([field.val(b) + Gamma(i * r) for i, b in enumerate(shifted)])
 
 
 def test_gauss_val_examples():
