@@ -7,10 +7,12 @@ p-adic elements are plain ``Fraction`` objects; t-adic elements are
 denominator, so equality is structural and values hash.
 
 Both fields expose the same small surface: ``coerce``, ``val``,
-``truncate`` (the expansion below a cut level, in closed form: p^v (u mod
-p^m) for v = val(a), u = a / p^v and m = ceil(level) - v in Q_p, the
-Laurent terms a_i t^i with i < level in Q(t)), residue-field helpers, and
-JSON round-tripping for scene files.
+``shifted_vals`` (the valuation of each Taylor coefficient at a center;
+Q_p reads them off one Taylor shift over the integers), ``truncate`` (the
+expansion below a cut level, in closed form: p^v (u mod p^m) for
+v = val(a), u = a / p^v and m = ceil(level) - v in Q_p, the Laurent terms
+a_i t^i with i < level in Q(t)), residue-field helpers, and JSON
+round-tripping for scene files.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Sequence, Union
 
 from .errors import PreconditionError, SceneError
 from .gamma import INF, Gamma, Rational, as_gamma, rational
-from .polys import poly_add, poly_divmod, poly_gcd, poly_mul, poly_neg, trim
+from .polys import check_degree, poly_add, poly_divmod, poly_gcd, poly_mul, poly_neg, taylor_shift, trim
 from .spec import FIELD, walk
 
 __all__ = ["PAdicField", "TAdicField", "RatFunc", "ValuedField", "field_from_json"]
@@ -247,7 +249,7 @@ class PAdicField:
     def coerce(self, x) -> Fraction:
         if type(x) is Fraction:
             return x
-        if isinstance(x, (int, Fraction)):
+        if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
             return Fraction(x)
         raise PreconditionError(f"not a p-adic field element: {x!r}")
 
@@ -256,6 +258,35 @@ class PAdicField:
         if a == 0:
             return INF
         return Gamma(_int_val(a.numerator, self.p) - _int_val(a.denominator, self.p))
+
+    def shifted_vals(self, coeffs: Sequence, center) -> list:
+        """val(b_k) for f = sum b_k (x - c)^k, None where b_k = 0.
+
+        With f = N / D for N over the integers and c = a / b in lowest
+        terms, P(w) = b^d N(w / b) = sum N_i b^(d - i) w^i has integer
+        coefficients, and P(w + a) = sum m_k w^k gives b_k = m_k b^(k - d) / D.
+        """
+        cs = trim([self.coerce(x) for x in coeffs])
+        check_degree(cs)
+        if not cs:
+            return []
+        c = self.coerce(center)
+        a, b, d = c.numerator, c.denominator, len(cs) - 1
+        den = math.lcm(*(x.denominator for x in cs))
+        m = [x.numerator * (den // x.denominator) for x in cs]
+        scale = 1
+        for i in range(d, -1, -1):
+            m[i] *= scale
+            scale *= b
+        if a:
+            # Horner's Taylor shift by the integer a, in place
+            for i in range(d):
+                for j in range(d - 1, i - 1, -1):
+                    m[j] += a * m[j + 1]
+        p = self.p
+        vb = _int_val(b, p)
+        base = -d * vb - _int_val(den, p)
+        return [_int_val(x, p) + k * vb + base if x else None for k, x in enumerate(m)]
 
     def uniformizer_pow(self, k: int) -> Fraction:
         return Fraction(self.p) ** k
@@ -341,6 +372,12 @@ class TAdicField:
         a = self.coerce(a)
         o = a.order()
         return INF if o is None else Gamma(o)
+
+    def shifted_vals(self, coeffs: Sequence, center) -> list:
+        """The t-adic order of each Taylor coefficient at the center, None
+        for a zero coefficient."""
+        shifted = taylor_shift(trim([self.coerce(x) for x in coeffs]), self.coerce(center))
+        return [b.order() for b in shifted]
 
     def uniformizer_pow(self, k: int) -> RatFunc:
         return RatFunc.t() ** k

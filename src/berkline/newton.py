@@ -16,6 +16,13 @@ breakpoint of some b_j, a hull vertex that becomes collinear with its
 two neighbours, and a point strictly between two adjacent hull vertices
 that reaches the edge joining them.
 
+The sweep runs on integers.  Each row's valuations come from the field's
+``shifted_vals`` (over Q_p one Taylor shift over the integers, after von
+zur Gathen and Gerhard), its envelope is a hull of integer points, the
+intercepts share one denominator L, and event times are (num, den) pairs
+compared by cross-multiplication.  ``Fraction``, ``Gamma`` and
+``MinAffine`` are built only for the output pieces.
+
 Slope convention: a polygon segment from (i1, w1) to (i2, w2) with
 i1 < i2 is reported as slope (w1 - w2) / (i2 - i1), so the reported
 slope equals the common valuation of the corresponding roots.
@@ -26,12 +33,12 @@ little-endian in y, each little-endian in x.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Sequence
 
+from . import gamma
 from .errors import PreconditionError
 from .gamma import INF, Gamma, MinAffine, as_gamma, gmin, lower_hull
 from .polys import poly_mul, poly_sub, taylor_shift, trim
@@ -99,17 +106,8 @@ def newton_polygon(coeff_vals: Sequence) -> NewtonPolygon:
 def coeff_val_path(field, coeffs: Sequence, center) -> MinAffine:
     """The Gauss valuation t -> min_i (val b_i + i*t) on B(c, t), b_i the
     Taylor coefficients at c, in canonical form; gauss_val reads it too."""
-    cs = trim([field.coerce(a) for a in coeffs])
-    if not cs:
-        return MinAffine()
-    c = field.coerce(center)
-    shifted = taylor_shift(cs, c)
-    terms = []
-    for i, b in enumerate(shifted):
-        v = field.val(b)
-        if not v.is_inf:
-            terms.append((Fraction(i), v.finite))
-    return MinAffine(terms)
+    vals = field.shifted_vals(coeffs, center)
+    return MinAffine((i, v) for i, v in enumerate(vals) if v is not None)
 
 
 def _bivariate(field, F: Sequence) -> list:
@@ -122,6 +120,23 @@ def _bivariate(field, F: Sequence) -> list:
 def root_valuations_along_path(field, F: Sequence, center) -> RootProfile:
     """Track the y-root valuations of F(x, y) = 0 over the path B(c, t).
 
+    Row j of F contributes the valuations of its Taylor coefficients at c
+    (``field.shifted_vals``); :func:`_sweep` turns them into the profile.
+    """
+    rows = _bivariate(field, F)
+    if len(rows) < 2:
+        raise PreconditionError("F must have positive y-degree")
+    ord0 = 0
+    while not rows[ord0]:
+        ord0 += 1
+    c = field.coerce(center)
+    return _sweep(ord0, [field.shifted_vals(row, c) for row in rows[ord0:]])
+
+
+def _sweep(ord0: int, row_vals: list) -> RootProfile:
+    """The profile of rows ord0, ord0 + 1, ... whose Taylor coefficients at
+    the center have valuations ``row_vals`` (rationals, None for zero).
+
     One sweep in t from 0.  Each nonzero row j is the point (j, y_j) with
     y_j the term of its envelope that attains the minimum just after t.
     The lower hull just after t compares heights by (value at t, slope).
@@ -133,35 +148,37 @@ def root_valuations_along_path(field, F: Sequence, center) -> RootProfile:
     - a hull vertex whose height over its neighbours' chord falls to 0;
     - a row strictly between two adjacent vertices that reaches their edge.
 
+    The sweep runs on integers: every intercept is scaled by L, the lcm
+    of their denominators, an event time is a pair (num, den) with
+    den > 0, compared by cross-multiplication, and at t = num / den the
+    term (s, L*o) has the integer height s*num*L + L*o*den, its height
+    scaled by L*den.  Fractions are built only for the output pieces.
     A piece starts only where the roots differ from the previous piece's,
     so the pieces come out merged.
     """
-    rows = _bivariate(field, F)
-    m = len(rows) - 1
-    if m < 1:
-        raise PreconditionError("F must have positive y-degree")
-    ord0 = 0
-    while not rows[ord0]:
-        ord0 += 1
-    c = field.coerce(center)
-    # per nonzero row: its terms in attainment order and the breakpoints
-    # between them; at[r] indexes the term that attains just after t
+    scale = lcm(*(v.denominator for vs in row_vals for v in vs if v is not None))
+    # per nonzero row: its envelope terms (slope, L * intercept) in
+    # attainment order and the breakpoints between them as (num, den);
+    # at[r] indexes the term that attains just after t
     xs, terms, cuts = [], [], []
-    for j in range(ord0, m + 1):
-        fn = coeff_val_path(field, rows[j], c)
-        if not fn.is_infinite:
-            xs.append(j)
-            terms.append(fn.terms[::-1])
-            cuts.append(fn.breakpoints())
-    at = [bisect_right(bps, 0) for bps in cuts]
-    t = Fraction(0)
+    for j, vs in enumerate(row_vals, ord0):
+        pts = [(i, v.numerator * (scale // v.denominator)) for i, v in enumerate(vs) if v is not None]
+        if not pts:
+            continue
+        ts = gamma.lower_hull(pts)[::-1]
+        xs.append(j)
+        terms.append(ts)
+        cuts.append([(o2 - o1, scale * (s1 - s2)) for (s1, o1), (s2, o2) in zip(ts, ts[1:])])
+    at = [sum(1 for num, _ in bps if num <= 0) for bps in cuts]
+    tn, td = 0, 1
     starts = []
     while True:
         active = {j: ts[pos] for j, ts, pos in zip(xs, terms, at)}
-        hull = [p[0] for p in lower_hull([(j, s * t + o, s) for j, (s, o) in active.items()])]
+        tl = tn * scale
+        hull = [p[0] for p in lower_hull([(j, s * tl + o * td, s) for j, (s, o) in active.items()])]
         roots = tuple(_edge_roots(active[i], active[k], k - i) for i, k in zip(hull, hull[1:]))
-        if not starts or roots != starts[-1][1]:
-            starts.append((t, roots))
+        if not starts or roots != starts[-1][2]:
+            starts.append((tn, td, roots))
         events = [bps[pos] for bps, pos in zip(cuts, at) if pos < len(bps)]
         for i, j, k in _hull_neighbours(xs, hull):
             (si, oi), (sj, oj), (sk, ok) = active[i], active[j], active[k]
@@ -169,26 +186,35 @@ def root_valuations_along_path(field, F: Sequence, center) -> RootProfile:
             # affine in t with this rate; its zero is the event
             rate = (k - i) * (sj - si) - (j - i) * (sk - si)
             if rate:
-                zero = ((j - i) * (ok - oi) - (k - i) * (oj - oi)) / rate
-                if zero > t:
-                    events.append(zero)
+                num, den = (j - i) * (ok - oi) - (k - i) * (oj - oi), rate * scale
+                if den < 0:
+                    num, den = -num, -den
+                if num * td > tn * den:
+                    events.append((num, den))
         if not events:
             break
-        t = min(events)
-        at = [pos + (pos < len(bps) and bps[pos] == t) for bps, pos in zip(cuts, at)]
+        tn, td = events[0]
+        for num, den in events[1:]:
+            if num * td < tn * den:
+                tn, td = num, den
+        at = [pos + (pos < len(bps) and bps[pos][0] * td == tn * bps[pos][1]) for bps, pos in zip(cuts, at)]
 
     tail = ((MinAffine(), ord0),) if ord0 else ()
     pieces = []
-    for (lo, roots), (hi, _) in zip(starts, starts[1:] + [(None, None)]):
-        fns = tuple((MinAffine([(s, o)]), span) for s, o, span in reversed(roots))
-        pieces.append((Gamma(lo), INF if hi is None else Gamma(hi), fns + tail))
+    for (tn, td, roots), nxt in zip(starts, starts[1:] + [None]):
+        fns = tuple(
+            (MinAffine([(Fraction(s, span), Fraction(o, span * scale))]), span) for s, o, span in reversed(roots)
+        )
+        hi = INF if nxt is None else Gamma(Fraction(nxt[0], nxt[1]))
+        pieces.append((Gamma(Fraction(tn, td)), hi, fns + tail))
     return RootProfile(tuple(pieces))
 
 
 def _edge_roots(left: tuple, right: tuple, span: int) -> tuple:
-    """(slope, intercept, multiplicity) of the roots one hull edge carries."""
+    """(span * slope, span * L * intercept, span) of the roots one hull
+    edge carries, for envelope terms (slope, L * intercept)."""
     (s1, o1), (s2, o2) = left, right
-    return ((s1 - s2) / span, (o1 - o2) / span, span)
+    return (s1 - s2, o1 - o2, span)
 
 
 def _hull_neighbours(xs: list, hull: list) -> list:

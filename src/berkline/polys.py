@@ -96,14 +96,19 @@ def poly_eval(a: Sequence, x):
     return acc
 
 
+def check_degree(coeffs: Sequence) -> None:
+    """Refuse a trimmed coefficient list of degree above DEGREE_CAP."""
+    if len(coeffs) - 1 > DEGREE_CAP:
+        raise PreconditionError(f"polynomial degree {len(coeffs) - 1} exceeds cap {DEGREE_CAP}")
+
+
 def taylor_shift(coeffs: Sequence, c) -> list:
     """Coefficients a_i with f(x) = sum a_i (x - c)^i, exactly.
 
     Runs repeated synthetic division by (x - c); O(d^2) ring operations.
     """
     work = trim(coeffs)
-    if len(work) - 1 > DEGREE_CAP:
-        raise PreconditionError(f"polynomial degree {len(work) - 1} exceeds cap {DEGREE_CAP}")
+    check_degree(work)
     out = []
     while work:
         if len(work) == 1:

@@ -18,7 +18,12 @@ from berkline.gflow import (
     locate_cell,
     xi_value,
 )
-from berkline.newton import newton_polygon, quadratic_residual_square, root_valuations_along_path
+from berkline.newton import (
+    coeff_val_path,
+    newton_polygon,
+    quadratic_residual_square,
+    root_valuations_along_path,
+)
 from berkline.pline import (
     STD,
     PLinePoint,
@@ -289,6 +294,22 @@ def test_rational_inputs(reader, value):
     else:
         with pytest.raises(PreconditionError, match="expected an exact rational|bad rational literal"):
             fn(value)
+
+
+def test_field_elements_refuse_bools():
+    # True is an int to isinstance, but no field element: both fields and
+    # the rational reader refuse it, and so does every path through coerce
+    for fn in (
+        rational,
+        PAdicField(5).coerce,
+        TAdicField().coerce,
+        PAdicField(5).val,
+        lambda x: coeff_val_path(PAdicField(5), [x, 5], 0),
+        lambda x: coeff_val_path(PAdicField(5), [1, 5], x),
+        lambda x: root_valuations_along_path(PAdicField(5), [[x], [1]], 0),
+    ):
+        with pytest.raises(PreconditionError):
+            fn(True)
 
 
 def count_exact_numbers(answer) -> int:

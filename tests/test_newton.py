@@ -1,4 +1,6 @@
 import random
+import sys
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations
 
@@ -13,7 +15,9 @@ from berkline.newton import (
     NewtonPolygon,
     RootProfile,
     _bivariate,
+    _hull_neighbours,
     _residue_poly_is_square,
+    _sweep,
     branch_events,
     coeff_val_path,
     newton_polygon,
@@ -291,14 +295,82 @@ def profile_by_triple_scan(field, F, center) -> RootProfile:
     return RootProfile(tuple(merged))
 
 
-def assert_sweep_matches_triple_scan(field, rows, center):
+def fraction_sweep(ord0, paths) -> RootProfile:
+    """The sweep of root_valuations_along_path before it ran on integers,
+    kept as an oracle: rows ord0, ord0 + 1, ... with Gauss valuation paths
+    ``paths`` (MinAffine), terms and event times as Fractions, the hull
+    built by ``lower_hull`` on the moving points (j, s t + o, s)."""
+    xs, terms, cuts = [], [], []
+    for j, fn in enumerate(paths, ord0):
+        if not fn.is_infinite:
+            xs.append(j)
+            terms.append(fn.terms[::-1])
+            cuts.append(fn.breakpoints())
+    at = [bisect_right(bps, 0) for bps in cuts]
+    t = Fraction(0)
+    starts = []
+    while True:
+        active = {j: ts[pos] for j, ts, pos in zip(xs, terms, at)}
+        hull = [p[0] for p in lower_hull([(j, s * t + o, s) for j, (s, o) in active.items()])]
+        roots = []
+        for i, k in zip(hull, hull[1:]):
+            (s1, o1), (s2, o2) = active[i], active[k]
+            roots.append(((s1 - s2) / (k - i), (o1 - o2) / (k - i), k - i))
+        roots = tuple(roots)
+        if not starts or roots != starts[-1][1]:
+            starts.append((t, roots))
+        events = [bps[pos] for bps, pos in zip(cuts, at) if pos < len(bps)]
+        for i, j, k in _hull_neighbours(xs, hull):
+            (si, oi), (sj, oj), (sk, ok) = active[i], active[j], active[k]
+            rate = (k - i) * (sj - si) - (j - i) * (sk - si)
+            if rate:
+                zero = ((j - i) * (ok - oi) - (k - i) * (oj - oi)) / rate
+                if zero > t:
+                    events.append(zero)
+        if not events:
+            break
+        t = min(events)
+        at = [pos + (pos < len(bps) and bps[pos] == t) for bps, pos in zip(cuts, at)]
+
+    tail = ((MinAffine(), ord0),) if ord0 else ()
+    pieces = []
+    for (lo, roots), (hi, _) in zip(starts, starts[1:] + [(None, None)]):
+        fns = tuple((MinAffine([(s, o)]), span) for s, o, span in reversed(roots))
+        pieces.append((Gamma(lo), INF if hi is None else Gamma(hi), fns + tail))
+    return RootProfile(tuple(pieces))
+
+
+def coeff_val_path_by_shift(field, coeffs, center) -> MinAffine:
+    """coeff_val_path before shifted_vals, kept as an oracle: one
+    taylor_shift over the field, then the valuation of each coefficient."""
+    shifted = taylor_shift(trim([field.coerce(a) for a in coeffs]), field.coerce(center))
+    return MinAffine((i, field.val(b)) for i, b in enumerate(shifted))
+
+
+def profile_by_fraction_sweep(field, F, center) -> RootProfile:
+    """root_valuations_along_path on Fractions: each row's path from
+    coeff_val_path_by_shift, then fraction_sweep."""
+    rows = _bivariate(field, F)
+    if len(rows) < 2:
+        raise PreconditionError("F must have positive y-degree")
+    ord0 = 0
+    while not rows[ord0]:
+        ord0 += 1
+    return fraction_sweep(ord0, [coeff_val_path_by_shift(field, row, center) for row in rows[ord0:]])
+
+
+def assert_sweep_matches_oracles(field, rows, center):
     try:
         want = profile_by_triple_scan(field, rows, center)
     except PreconditionError:
         with pytest.raises(PreconditionError):
             root_valuations_along_path(field, rows, center)
+        with pytest.raises(PreconditionError):
+            profile_by_fraction_sweep(field, rows, center)
         return
-    assert root_valuations_along_path(field, rows, center).pieces == want.pieces
+    got = root_valuations_along_path(field, rows, center).pieces
+    assert got == want.pieces
+    assert got == profile_by_fraction_sweep(field, rows, center).pieces
 
 
 @st.composite
@@ -325,7 +397,7 @@ def sparse_covers(draw):
 @settings(max_examples=300, deadline=None)
 @given(sparse_covers())
 def test_sweep_matches_triple_scan(cover):
-    assert_sweep_matches_triple_scan(*cover)
+    assert_sweep_matches_oracles(*cover)
 
 
 def test_sweep_matches_triple_scan_on_factored_covers():
@@ -342,7 +414,7 @@ def test_sweep_matches_triple_scan_on_factored_covers():
         rows = bivariate_from_roots(field, gs)
         if k % 2:
             rows = [[], []] + rows
-        assert_sweep_matches_triple_scan(field, rows, field.coerce(Fraction(rng.randint(-3, 3), rng.randint(1, 2))))
+        assert_sweep_matches_oracles(field, rows, field.coerce(Fraction(rng.randint(-3, 3), rng.randint(1, 2))))
 
 
 def dense_table(rng, degree):
@@ -353,7 +425,7 @@ def test_sweep_matches_triple_scan_on_dense_tables():
     rng = random.Random(2024)
     for degree in (4, 8, 12, 16, 24, 32):
         for field in (Q3, Q5):
-            assert_sweep_matches_triple_scan(field, dense_table(rng, degree), Fraction(1, 3))
+            assert_sweep_matches_oracles(field, dense_table(rng, degree), Fraction(1, 3))
 
 
 def test_sweep_hull_count(monkeypatch):
@@ -375,6 +447,83 @@ def test_sweep_hull_count(monkeypatch):
             sum(1 for b in coeff_val_path(Q5, row, Fraction(1, 3)).breakpoints() if b > 0) for row in table
         )
         assert 1 <= len(builds) <= breaks + len(prof.pieces) + 1
+
+
+def test_sweep_hull_count_matches_fraction_sweep(monkeypatch):
+    # the integer sweep stops at the same events as the Fraction sweep, so
+    # it builds exactly as many hulls, over the same number of rows each
+    rng = random.Random(16)
+    oracle = sys.modules[__name__]
+    for degree in (4, 8, 16, 16, 24, 32):
+        table = dense_table(rng, degree)
+        counts = []
+        for module, sweep in ((newton, root_valuations_along_path), (oracle, profile_by_fraction_sweep)):
+            builds = []
+
+            def counting_hull(pts, hull=lower_hull):
+                builds.append(len(pts))
+                return hull(pts)
+
+            monkeypatch.setattr(module, "lower_hull", counting_hull)
+            sweep(Q5, table, Fraction(1, 3))
+            monkeypatch.undo()
+            counts.append(builds)
+        assert counts[0] == counts[1] and counts[0]
+
+
+rational_vals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+valuation_lists = st.lists(st.one_of(st.none(), rational_vals), min_size=1, max_size=5)
+nonzero_valuation_lists = st.builds(lambda vs, v: vs + [v], valuation_lists, rational_vals)
+
+
+@st.composite
+def rational_valuation_rows(draw):
+    """Rows of Taylor-coefficient valuations in Q, not only Z, as over a
+    ramified field: None for a zero coefficient, the first and last rows
+    nonzero, and rows of several lengths."""
+    inner = draw(st.lists(st.one_of(st.just([]), valuation_lists), max_size=5))
+    rows = [draw(nonzero_valuation_lists)] + inner + [draw(nonzero_valuation_lists)]
+    return draw(st.integers(min_value=0, max_value=2)), rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_valuation_rows())
+def test_sweep_matches_fraction_sweep_on_rational_valuations(cover):
+    ord0, row_vals = cover
+    paths = [MinAffine((i, v) for i, v in enumerate(vs) if v is not None) for vs in row_vals]
+    assert _sweep(ord0, row_vals).pieces == fraction_sweep(ord0, paths).pieces
+
+
+def padic_rationals(p):
+    # p in the numerators and the denominators
+    return st.builds(
+        lambda u, w, e: Fraction(u, w) * Fraction(p) ** e,
+        st.integers(min_value=-30, max_value=30),
+        st.integers(min_value=1, max_value=30),
+        st.integers(min_value=-3, max_value=4),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7)).flatmap(lambda p: st.tuples(
+    st.just(PAdicField(p)), st.lists(padic_rationals(p), max_size=12), padic_rationals(p)
+)))
+def test_shifted_vals_matches_taylor_shift(case):
+    field, coeffs, c = case
+    want = [None if b == 0 else field.val(b).finite for b in taylor_shift(trim(coeffs), c)]
+    assert field.shifted_vals(coeffs, c) == want
+
+
+def test_degree_cap_through_profiles():
+    row = [Fraction(1)] * (DEGREE_CAP + 2)
+    for field in (Q5, QT):
+        assert len(field.shifted_vals(row[1:], Fraction(1, 5))) == DEGREE_CAP + 1
+        with pytest.raises(PreconditionError, match="exceeds cap"):
+            field.shifted_vals(row, 0)
+    with pytest.raises(PreconditionError, match="exceeds cap"):
+        coeff_val_path(Q5, row, Fraction(1, 5))
+    with pytest.raises(PreconditionError, match="exceeds cap"):
+        root_valuations_along_path(Q5, [row, [1]], Fraction(1, 5))
 
 
 def test_quadratic_residual_square():
